@@ -115,8 +115,6 @@ struct ReconstructOptions {
     int Jobs = 1;
   };
   struct RenderOptions {
-    /// Render the call hierarchy as an indented tree (tool layer).
-    bool Tree = false;
     /// Decode the snap's embedded TELEMETRY stream into
     /// ReconstructedTrace::TelemetryJson.
     bool DecodeTelemetry = true;

@@ -13,13 +13,16 @@
 using namespace traceback;
 
 namespace {
-std::string describeFault(uint16_t Code) {
-  if (Code & 0x8000)
-    return formatv("signal %u", Code & 0xFFF);
-  return faultCodeName(static_cast<FaultCode>(Code));
+void appendFault(std::string &Out, uint16_t Code) {
+  if (Code & 0x8000) {
+    Out += "signal ";
+    appendDecimal(Out, Code & 0xFFF);
+  } else {
+    Out += faultCodeName(static_cast<FaultCode>(Code));
+  }
 }
 
-std::string syncKindName(SyncKind K) {
+const char *syncKindName(SyncKind K) {
   switch (K) {
   case SyncKind::CallSend:
     return "call ->";
@@ -33,35 +36,80 @@ std::string syncKindName(SyncKind K) {
   return "?";
 }
 
-std::string eventOneLiner(const TraceEvent &E) {
+/// Appends the one-line rendering of \p E (no indent, no newline). Every
+/// view writes its events through here, straight into its own buffer.
+void appendEvent(std::string &Out, const TraceEvent &E) {
   switch (E.EventKind) {
-  case TraceEvent::Kind::Line: {
-    std::string S = formatv("%-14s %s:%u  %s", E.Module.c_str(),
-                            E.File.c_str(), E.Line, E.Function.c_str());
-    if (E.Repeat > 1)
-      S += formatv("  (x%u)", E.Repeat);
+  case TraceEvent::Kind::Line:
+    appendCString(Out, E.Module.c_str(), 14);
+    Out += ' ';
+    appendCString(Out, E.File.c_str());
+    Out += ':';
+    appendDecimal(Out, E.Line);
+    Out += "  ";
+    appendCString(Out, E.Function.c_str());
+    if (E.Repeat > 1) {
+      Out += "  (x";
+      appendDecimal(Out, E.Repeat);
+      Out += ')';
+    }
     if (E.Trimmed)
-      S += "  <- partial";
-    return S;
-  }
+      Out += "  <- partial";
+    return;
   case TraceEvent::Kind::Exception:
-    return formatv("*** exception: %s", describeFault(E.FaultCodeValue).c_str());
+    Out += "*** exception: ";
+    appendFault(Out, E.FaultCodeValue);
+    return;
   case TraceEvent::Kind::ExceptionEnd:
-    return formatv("*** resumed after %s",
-                   describeFault(E.FaultCodeValue).c_str());
+    Out += "*** resumed after ";
+    appendFault(Out, E.FaultCodeValue);
+    return;
   case TraceEvent::Kind::Sync:
-    return formatv("[sync %s logical=%llx seq=%llu]",
-                   syncKindName(E.Sync).c_str(),
-                   static_cast<unsigned long long>(E.LogicalThreadId),
-                   static_cast<unsigned long long>(E.Sequence));
+    Out += "[sync ";
+    Out += syncKindName(E.Sync);
+    Out += " logical=";
+    appendHex(Out, E.LogicalThreadId);
+    Out += " seq=";
+    appendDecimal(Out, E.Sequence);
+    Out += ']';
+    return;
   case TraceEvent::Kind::ThreadStart:
-    return "[thread start]";
+    Out += "[thread start]";
+    return;
   case TraceEvent::Kind::ThreadEnd:
-    return "[thread end]";
+    Out += "[thread end]";
+    return;
   case TraceEvent::Kind::Untraced:
-    return formatv("[untraced: %s]", E.Module.c_str());
+    Out += "[untraced: ";
+    appendCString(Out, E.Module.c_str());
+    Out += ']';
+    return;
   }
-  return "?";
+  Out += '?';
+}
+
+/// One event as a line of the flat and logical-thread views.
+void appendFlatLine(std::string &Out, const TraceEvent &E) {
+  Out += "  ";
+  appendEvent(Out, E);
+  Out += '\n';
+}
+
+void appendCallTree(std::string &Out, const ThreadTrace &Trace) {
+  Out += formatv("thread %llu call tree\n",
+                 static_cast<unsigned long long>(Trace.ThreadId));
+  for (const TraceEvent &E : Trace.Events) {
+    Out += "  ";
+    Out.append(static_cast<size_t>(E.Depth) * 2, ' ');
+    if (E.EventKind == TraceEvent::Kind::Line) {
+      if (E.BlockFlags & MBF_FuncEntry)
+        Out += "+ ";
+      else if (E.BlockFlags & MBF_EndsInRet)
+        Out += "^ ";
+    }
+    appendEvent(Out, E);
+    Out += '\n';
+  }
 }
 } // namespace
 
@@ -73,7 +121,7 @@ std::string traceback::renderFlatTrace(const ThreadTrace &Trace) {
                             Trace.Truncated ? " (older history overwritten)"
                                             : "");
   for (const TraceEvent &E : Trace.Events)
-    Out += "  " + eventOneLiner(E) + "\n";
+    appendFlatLine(Out, E);
   if (Trace.TruncatedAt != UINT64_MAX)
     Out += formatv("  <torn write: newer history lost at word %llu>\n",
                    static_cast<unsigned long long>(Trace.TruncatedAt));
@@ -81,19 +129,8 @@ std::string traceback::renderFlatTrace(const ThreadTrace &Trace) {
 }
 
 std::string traceback::renderCallTree(const ThreadTrace &Trace) {
-  std::string Out = formatv("thread %llu call tree\n",
-                            static_cast<unsigned long long>(Trace.ThreadId));
-  for (const TraceEvent &E : Trace.Events) {
-    std::string Indent(static_cast<size_t>(E.Depth) * 2, ' ');
-    std::string Marker;
-    if (E.EventKind == TraceEvent::Kind::Line) {
-      if (E.BlockFlags & MBF_FuncEntry)
-        Marker = "+ ";
-      else if (E.BlockFlags & MBF_EndsInRet)
-        Marker = "^ ";
-    }
-    Out += "  " + Indent + Marker + eventOneLiner(E) + "\n";
-  }
+  std::string Out;
+  appendCallTree(Out, Trace);
   return Out;
 }
 
@@ -108,10 +145,15 @@ std::string traceback::renderMultiThread(
   S.addTrace(Holder);
   auto Timeline = S.mergeTimeline();
   for (const auto &Entry : Timeline) {
-    const TraceEvent &E = Entry.Trace->Events[Entry.EventIndex];
-    Out += formatv("t%-3llu |%*s%s\n",
-                   static_cast<unsigned long long>(Entry.Trace->ThreadId), 0,
-                   "", eventOneLiner(E).c_str());
+    // "t<thread id, left-aligned in 3> |<event>".
+    size_t Start = Out.size();
+    Out += 't';
+    appendDecimal(Out, Entry.Trace->ThreadId);
+    if (Out.size() < Start + 4)
+      Out.append(Start + 4 - Out.size(), ' ');
+    Out += " |";
+    appendEvent(Out, Entry.Trace->Events[Entry.EventIndex]);
+    Out += '\n';
   }
   return Out;
 }
@@ -127,7 +169,7 @@ std::string traceback::renderLogicalThread(const LogicalThread &LT) {
                    static_cast<unsigned long long>(Seg.Trace->ThreadId));
     for (size_t I = Seg.Begin; I < Seg.End && I < Seg.Trace->Events.size();
          ++I)
-      Out += "  " + eventOneLiner(Seg.Trace->Events[I]) + "\n";
+      appendFlatLine(Out, Seg.Trace->Events[I]);
   }
   return Out;
 }
@@ -147,10 +189,14 @@ std::string traceback::renderFaultView(const SnapFile &Snap,
       for (const TraceEvent &E : T.Events)
         if (E.EventKind == TraceEvent::Kind::Line)
           LastLine = &E;
-      Out += formatv("  thread %llu: %s\n",
-                     static_cast<unsigned long long>(T.ThreadId),
-                     LastLine ? eventOneLiner(*LastLine).c_str()
-                              : "<no trace>");
+      Out += "  thread ";
+      appendDecimal(Out, T.ThreadId);
+      Out += ": ";
+      if (LastLine)
+        appendEvent(Out, *LastLine);
+      else
+        Out += "<no trace>";
+      Out += '\n';
     }
     return Out;
   }
@@ -162,10 +208,10 @@ std::string traceback::renderFaultView(const SnapFile &Snap,
     Faulting = &Trace.Threads.front();
   if (!Faulting)
     return Out + "  <no thread traces recovered>\n";
-  std::string Tree = renderCallTree(*Faulting);
-  Out += Tree;
-  Out += formatv("=> fault: %s\n",
-                 describeFault(Snap.FaultCodeValue).c_str());
+  appendCallTree(Out, *Faulting);
+  Out += "=> fault: ";
+  appendFault(Out, Snap.FaultCodeValue);
+  Out += '\n';
   return Out;
 }
 

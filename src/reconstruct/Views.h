@@ -31,8 +31,9 @@ std::string renderFlatTrace(const ThreadTrace &Trace);
 /// exception and sync annotations.
 std::string renderCallTree(const ThreadTrace &Trace);
 
-/// Interleaved multi-thread view ordered by skew-corrected timestamps;
-/// one column per thread.
+/// Interleaved multi-thread view ordered by skew-corrected timestamps:
+/// one line per event, prefixed with its thread id left-aligned in three
+/// columns (`t7   |<event>`).
 std::string renderMultiThread(const std::vector<const ThreadTrace *> &Traces);
 
 /// Renders one fused logical thread across machines/runtimes (the

@@ -11,6 +11,7 @@
 #include "support/Text.h"
 
 #include <algorithm>
+#include <cstring>
 
 using namespace traceback;
 
@@ -425,41 +426,110 @@ const SnapFile *ReplayDriver::matchSnap(const SnapFile &Orig) const {
 // DivergenceDetector
 //===----------------------------------------------------------------------===//
 
-/// Full-field single-line rendering of one trace event. Two events render
-/// identically iff every field meaningful to their kind is identical —
-/// the detector and renderCanonical both compare through this.
-static std::string renderTraceEvent(const TraceEvent &E) {
+/// Full-field single-line rendering of one trace event: every field
+/// meaningful to its kind, nothing else. renderCanonical writes through
+/// this, and sameEvent compares exactly the fields it prints.
+static void appendTraceEvent(std::string &Out, const TraceEvent &E) {
   switch (E.EventKind) {
   case TraceEvent::Kind::Line:
-    return formatv("line %s!%s:%u fn=%s rep=%u depth=%u flags=%u trim=%u "
-                   "ts=%llu",
-                   E.Module.c_str(), E.File.c_str(), E.Line,
-                   E.Function.c_str(), E.Repeat, E.Depth,
-                   (unsigned)E.BlockFlags, E.Trimmed ? 1u : 0u,
-                   (unsigned long long)E.Timestamp);
+    Out += "line ";
+    appendCString(Out, E.Module.c_str());
+    Out += '!';
+    appendCString(Out, E.File.c_str());
+    Out += ':';
+    appendDecimal(Out, E.Line);
+    Out += " fn=";
+    appendCString(Out, E.Function.c_str());
+    Out += " rep=";
+    appendDecimal(Out, E.Repeat);
+    Out += " depth=";
+    appendDecimal(Out, E.Depth);
+    Out += " flags=";
+    appendDecimal(Out, E.BlockFlags);
+    Out += E.Trimmed ? " trim=1" : " trim=0";
+    break;
   case TraceEvent::Kind::Exception:
-    return formatv("exception code=%u module=%016llx off=%u depth=%u ts=%llu",
-                   (unsigned)E.FaultCodeValue,
-                   (unsigned long long)E.FaultModuleKey, E.FaultOffset,
-                   E.Depth, (unsigned long long)E.Timestamp);
+    Out += "exception code=";
+    appendDecimal(Out, E.FaultCodeValue);
+    Out += " module=";
+    appendHex(Out, E.FaultModuleKey, 16);
+    Out += " off=";
+    appendDecimal(Out, E.FaultOffset);
+    Out += " depth=";
+    appendDecimal(Out, E.Depth);
+    break;
   case TraceEvent::Kind::ExceptionEnd:
-    return formatv("exception-end depth=%u ts=%llu", E.Depth,
-                   (unsigned long long)E.Timestamp);
+    Out += "exception-end depth=";
+    appendDecimal(Out, E.Depth);
+    break;
   case TraceEvent::Kind::Sync:
-    return formatv("sync kind=%u lt=%llu seq=%llu peer=%llu ts=%llu",
-                   (unsigned)E.Sync, (unsigned long long)E.LogicalThreadId,
-                   (unsigned long long)E.Sequence,
-                   (unsigned long long)E.PeerRuntimeId,
-                   (unsigned long long)E.Timestamp);
+    Out += "sync kind=";
+    appendDecimal(Out, static_cast<uint64_t>(E.Sync));
+    Out += " lt=";
+    appendDecimal(Out, E.LogicalThreadId);
+    Out += " seq=";
+    appendDecimal(Out, E.Sequence);
+    Out += " peer=";
+    appendDecimal(Out, E.PeerRuntimeId);
+    break;
   case TraceEvent::Kind::ThreadStart:
-    return formatv("thread-start ts=%llu", (unsigned long long)E.Timestamp);
+    Out += "thread-start";
+    break;
   case TraceEvent::Kind::ThreadEnd:
-    return formatv("thread-end ts=%llu", (unsigned long long)E.Timestamp);
+    Out += "thread-end";
+    break;
   case TraceEvent::Kind::Untraced:
-    return formatv("untraced rep=%u depth=%u ts=%llu", E.Repeat, E.Depth,
-                   (unsigned long long)E.Timestamp);
+    Out += "untraced rep=";
+    appendDecimal(Out, E.Repeat);
+    Out += " depth=";
+    appendDecimal(Out, E.Depth);
+    break;
+  default:
+    Out += '?';
+    return;
   }
-  return "?";
+  Out += " ts=";
+  appendDecimal(Out, E.Timestamp);
+}
+
+static std::string renderTraceEvent(const TraceEvent &E) {
+  std::string S;
+  appendTraceEvent(S, E);
+  return S;
+}
+
+/// Names compare as their "%s" renderings do: equal when pooled to the
+/// same string, or equal up to the first NUL.
+static bool sameName(const InternedString &A, const InternedString &B) {
+  return A == B || std::strcmp(A.c_str(), B.c_str()) == 0;
+}
+
+/// True iff appendTraceEvent renders \p A and \p B identically.
+static bool sameEvent(const TraceEvent &A, const TraceEvent &B) {
+  if (A.EventKind != B.EventKind || A.Timestamp != B.Timestamp)
+    return false;
+  switch (A.EventKind) {
+  case TraceEvent::Kind::Line:
+    return A.Line == B.Line && A.Repeat == B.Repeat && A.Depth == B.Depth &&
+           A.BlockFlags == B.BlockFlags && A.Trimmed == B.Trimmed &&
+           sameName(A.Module, B.Module) && sameName(A.File, B.File) &&
+           sameName(A.Function, B.Function);
+  case TraceEvent::Kind::Exception:
+    return A.FaultCodeValue == B.FaultCodeValue &&
+           A.FaultModuleKey == B.FaultModuleKey &&
+           A.FaultOffset == B.FaultOffset && A.Depth == B.Depth;
+  case TraceEvent::Kind::ExceptionEnd:
+    return A.Depth == B.Depth;
+  case TraceEvent::Kind::Sync:
+    return A.Sync == B.Sync && A.LogicalThreadId == B.LogicalThreadId &&
+           A.Sequence == B.Sequence && A.PeerRuntimeId == B.PeerRuntimeId;
+  case TraceEvent::Kind::ThreadStart:
+  case TraceEvent::Kind::ThreadEnd:
+    return true;
+  case TraceEvent::Kind::Untraced:
+    return A.Repeat == B.Repeat && A.Depth == B.Depth;
+  }
+  return true;
 }
 
 static void pushTraceDivergence(std::vector<Divergence> &Out, uint64_t Index,
@@ -488,8 +558,7 @@ size_t DivergenceDetector::compare(const ReconstructedTrace &Original,
     }
     size_t N = std::min(OT.Events.size(), RT->Events.size());
     size_t I = 0;
-    while (I < N &&
-           renderTraceEvent(OT.Events[I]) == renderTraceEvent(RT->Events[I]))
+    while (I < N && sameEvent(OT.Events[I], RT->Events[I]))
       ++I;
     if (I < N) {
       // The FIRST divergent event of this thread, with the last agreeing
@@ -542,8 +611,11 @@ std::string DivergenceDetector::renderCanonical(const ReconstructedTrace &T) {
                    (unsigned long long)Th.RuntimeId, Th.ProcessName.c_str(),
                    Th.MachineName.c_str(), (unsigned)Th.Tech,
                    Th.Truncated ? 1u : 0u, Cut.c_str());
-    for (const TraceEvent &E : Th.Events)
-      Out += "  " + renderTraceEvent(E) + "\n";
+    for (const TraceEvent &E : Th.Events) {
+      Out += "  ";
+      appendTraceEvent(Out, E);
+      Out += '\n';
+    }
   }
   // Reconstruction warnings are a deterministic function of the snap (the
   // tracer's wall-clock self-telemetry, by contrast, is not and stays

@@ -7,6 +7,7 @@
 #include "support/Text.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,28 @@ std::string traceback::formatv(const char *Fmt, ...) {
   std::vsnprintf(S.data(), S.size() + 1, Fmt, Args2);
   va_end(Args2);
   return S;
+}
+
+void traceback::appendDecimal(std::string &Out, uint64_t V) {
+  char Buf[20]; // UINT64_MAX has 20 digits.
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+void traceback::appendHex(std::string &Out, uint64_t V, unsigned MinWidth) {
+  char Buf[16];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V, 16).ptr;
+  size_t Len = static_cast<size_t>(End - Buf);
+  if (Len < MinWidth)
+    Out.append(MinWidth - Len, '0');
+  Out.append(Buf, Len);
+}
+
+void traceback::appendCString(std::string &Out, const char *S,
+                              size_t MinWidth) {
+  size_t Len = std::strlen(S);
+  Out.append(S, Len);
+  if (Len < MinWidth)
+    Out.append(MinWidth - Len, ' ');
 }
 
 std::vector<std::string> traceback::splitString(const std::string &S,

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// printf-style formatting into std::string plus tokenizing helpers used by
-/// the policy-file and assembler parsers.
+/// printf-style formatting into std::string, printf-compatible appends for
+/// renderers that write one line per trace event, plus tokenizing helpers
+/// used by the policy-file and assembler parsers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,8 @@
 #define TRACEBACK_SUPPORT_TEXT_H
 
 #include <cstdarg>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,22 @@ namespace traceback {
 /// printf into a std::string.
 std::string formatv(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+// The appends below write exactly the bytes of the printf conversion they
+// name, with no format pass and no temporary string, so a renderer can
+// build its whole output in one buffer.
+
+/// Appends \p V in decimal, as "%llu".
+void appendDecimal(std::string &Out, uint64_t V);
+
+/// Appends \p V in lower-case hex, zero-padded to at least \p MinWidth
+/// digits, as "%0<MinWidth>llx" ("%llx" when 0).
+void appendHex(std::string &Out, uint64_t V, unsigned MinWidth = 0);
+
+/// Appends \p S up to its first NUL, then spaces up to \p MinWidth
+/// characters in all, as "%-<MinWidth>s": a longer string is never
+/// truncated.
+void appendCString(std::string &Out, const char *S, size_t MinWidth = 0);
 
 /// Splits on any character in \p Seps, dropping empty pieces.
 std::vector<std::string> splitString(const std::string &S, const char *Seps);

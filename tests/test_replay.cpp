@@ -21,6 +21,7 @@
 #include "core/FileIO.h"
 #include "replay/Recorder.h"
 #include "replay/ReplayDriver.h"
+#include "support/Text.h"
 #include "vm/FaultInjector.h"
 
 #include <gtest/gtest.h>
@@ -454,6 +455,217 @@ TEST(ReplayDivergenceTest, PerturbedTraceWordReportsFirstEventOnly) {
             DivergenceDetector::renderCanonical(Original));
   EXPECT_NE(DivergenceDetector::renderCanonical(Original),
             DivergenceDetector::renderCanonical(Perturbed));
+}
+
+//===----------------------------------------------------------------------===//
+// The detector's field comparison against the printf renderer it replaced.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+// The formatv renderings the detector used to compare, kept verbatim: two
+// events must diverge iff these differ, and renderCanonical must emit
+// exactly these bytes.
+std::string oracleEvent(const TraceEvent &E) {
+  switch (E.EventKind) {
+  case TraceEvent::Kind::Line:
+    return formatv("line %s!%s:%u fn=%s rep=%u depth=%u flags=%u trim=%u "
+                   "ts=%llu",
+                   E.Module.c_str(), E.File.c_str(), E.Line,
+                   E.Function.c_str(), E.Repeat, E.Depth,
+                   (unsigned)E.BlockFlags, E.Trimmed ? 1u : 0u,
+                   (unsigned long long)E.Timestamp);
+  case TraceEvent::Kind::Exception:
+    return formatv("exception code=%u module=%016llx off=%u depth=%u ts=%llu",
+                   (unsigned)E.FaultCodeValue,
+                   (unsigned long long)E.FaultModuleKey, E.FaultOffset,
+                   E.Depth, (unsigned long long)E.Timestamp);
+  case TraceEvent::Kind::ExceptionEnd:
+    return formatv("exception-end depth=%u ts=%llu", E.Depth,
+                   (unsigned long long)E.Timestamp);
+  case TraceEvent::Kind::Sync:
+    return formatv("sync kind=%u lt=%llu seq=%llu peer=%llu ts=%llu",
+                   (unsigned)E.Sync, (unsigned long long)E.LogicalThreadId,
+                   (unsigned long long)E.Sequence,
+                   (unsigned long long)E.PeerRuntimeId,
+                   (unsigned long long)E.Timestamp);
+  case TraceEvent::Kind::ThreadStart:
+    return formatv("thread-start ts=%llu", (unsigned long long)E.Timestamp);
+  case TraceEvent::Kind::ThreadEnd:
+    return formatv("thread-end ts=%llu", (unsigned long long)E.Timestamp);
+  case TraceEvent::Kind::Untraced:
+    return formatv("untraced rep=%u depth=%u ts=%llu", E.Repeat, E.Depth,
+                   (unsigned long long)E.Timestamp);
+  }
+  return "?";
+}
+
+std::string oracleCanonical(const ReconstructedTrace &T) {
+  std::string Out;
+  for (const ThreadTrace &Th : T.Threads) {
+    std::string Cut = Th.TruncatedAt == UINT64_MAX
+                          ? std::string("-")
+                          : formatv("%llu",
+                                    (unsigned long long)Th.TruncatedAt);
+    Out += formatv("thread %llu runtime=%llu proc=%s machine=%s tech=%u "
+                   "truncated=%u cut=%s\n",
+                   (unsigned long long)Th.ThreadId,
+                   (unsigned long long)Th.RuntimeId, Th.ProcessName.c_str(),
+                   Th.MachineName.c_str(), (unsigned)Th.Tech,
+                   Th.Truncated ? 1u : 0u, Cut.c_str());
+    for (const TraceEvent &E : Th.Events)
+      Out += "  " + oracleEvent(E) + "\n";
+  }
+  for (const std::string &W : T.Warnings)
+    Out += "warning: " + W + "\n";
+  return Out;
+}
+
+/// Distinct pooled names; the last two print alike under "%s".
+const std::vector<InternedString> &oracleNames() {
+  static const std::vector<InternedString> Names = {
+      InternedString(std::string()), InternedString("mod"),
+      InternedString("a.ml"), InternedString("cut"),
+      InternedString(std::string("cut\0hidden", 10))};
+  return Names;
+}
+
+TraceEvent randomOracleEvent(Rng &R) {
+  const std::vector<InternedString> &Names = oracleNames();
+  TraceEvent E;
+  E.EventKind = static_cast<TraceEvent::Kind>(R.below(7));
+  E.Module = Names[R.below(Names.size())];
+  E.File = Names[R.below(Names.size())];
+  E.Function = Names[R.below(Names.size())];
+  E.Line = static_cast<uint32_t>(R.next());
+  E.Repeat = static_cast<uint32_t>(R.below(4));
+  E.BlockFlags = static_cast<uint8_t>(R.next());
+  E.Depth = static_cast<uint32_t>(R.below(40));
+  E.Trimmed = R.chance(1, 2);
+  E.FaultCodeValue = static_cast<uint16_t>(R.next());
+  E.FaultModuleKey = R.next();
+  E.FaultOffset = static_cast<uint32_t>(R.next());
+  E.Sync = static_cast<SyncKind>(R.below(4));
+  E.LogicalThreadId = R.next();
+  E.Sequence = R.next();
+  E.PeerRuntimeId = R.next();
+  E.Timestamp = R.next();
+  return E;
+}
+
+/// TraceEvent fields mutateField can change, EventKind first.
+constexpr unsigned EventFields = 17;
+
+/// Changes field \p F of \p E, and nothing else, to a different value.
+void mutateField(TraceEvent &E, unsigned F, Rng &R) {
+  auto OtherName = [&](const InternedString &Old) {
+    const std::vector<InternedString> &Names = oracleNames();
+    InternedString N = Old;
+    while (N == Old)
+      N = Names[R.below(Names.size())];
+    return N;
+  };
+  auto Flip32 = [&](uint32_t V) { return V ^ (1u << R.below(32)); };
+  auto Flip64 = [&](uint64_t V) { return V ^ (1ULL << R.below(64)); };
+  switch (F) {
+  case 0:
+    E.EventKind = static_cast<TraceEvent::Kind>(
+        (static_cast<unsigned>(E.EventKind) + 1 + R.below(6)) % 7);
+    break;
+  case 1:
+    E.Module = OtherName(E.Module);
+    break;
+  case 2:
+    E.File = OtherName(E.File);
+    break;
+  case 3:
+    E.Function = OtherName(E.Function);
+    break;
+  case 4:
+    E.Line = Flip32(E.Line);
+    break;
+  case 5:
+    E.Repeat = Flip32(E.Repeat);
+    break;
+  case 6:
+    E.BlockFlags ^= static_cast<uint8_t>(1u << R.below(8));
+    break;
+  case 7:
+    E.Depth = Flip32(E.Depth);
+    break;
+  case 8:
+    E.Trimmed = !E.Trimmed;
+    break;
+  case 9:
+    E.FaultCodeValue ^= static_cast<uint16_t>(1u << R.below(16));
+    break;
+  case 10:
+    E.FaultModuleKey = Flip64(E.FaultModuleKey);
+    break;
+  case 11:
+    E.FaultOffset = Flip32(E.FaultOffset);
+    break;
+  case 12:
+    E.Sync = static_cast<SyncKind>(
+        (static_cast<unsigned>(E.Sync) + 1 + R.below(3)) % 4);
+    break;
+  case 13:
+    E.LogicalThreadId = Flip64(E.LogicalThreadId);
+    break;
+  case 14:
+    E.Sequence = Flip64(E.Sequence);
+    break;
+  case 15:
+    E.PeerRuntimeId = Flip64(E.PeerRuntimeId);
+    break;
+  default:
+    E.Timestamp = Flip64(E.Timestamp);
+    break;
+  }
+}
+
+} // namespace
+
+TEST(ReplayDivergenceTest, FieldCompareAgreesWithFormatvRenderings) {
+  Rng R(testSeed() ^ 0xd1ffULL);
+  size_t Diverged = 0, Agreed = 0;
+  for (unsigned Case = 0; Case < 40 * EventFields; ++Case) {
+    ReconstructedTrace Orig;
+    ThreadTrace Th;
+    Th.ThreadId = 1 + R.below(4);
+    Th.RuntimeId = R.next();
+    Th.ProcessName = "proc";
+    Th.MachineName = "host";
+    Th.Truncated = R.chance(1, 2);
+    Th.TruncatedAt = R.chance(1, 2) ? R.below(UINT64_MAX) : UINT64_MAX;
+    size_t N = 1 + R.below(6);
+    for (size_t I = 0; I < N; ++I)
+      Th.Events.push_back(randomOracleEvent(R));
+    Orig.Threads.push_back(Th);
+    if (R.chance(1, 3))
+      Orig.Warnings.push_back("torn record");
+    ReconstructedTrace Repl = Orig;
+    size_t At = R.below(N);
+    unsigned Field = Case % EventFields;
+    mutateField(Repl.Threads[0].Events[At], Field, R);
+
+    std::string Before = oracleEvent(Orig.Threads[0].Events[At]);
+    std::string After = oracleEvent(Repl.Threads[0].Events[At]);
+    bool Differ = Before != After;
+    std::vector<Divergence> Divs;
+    EXPECT_EQ(DivergenceDetector::compare(Orig, Repl, Divs), Differ ? 1u : 0u)
+        << "field " << Field << ": {" << Before << "} vs {" << After << "}";
+    if (Differ && !Divs.empty()) {
+      EXPECT_EQ(Divs[0].EventIndex, At);
+    }
+    EXPECT_EQ(DivergenceDetector::renderCanonical(Orig), oracleCanonical(Orig));
+    EXPECT_EQ(DivergenceDetector::renderCanonical(Repl), oracleCanonical(Repl));
+    ++(Differ ? Diverged : Agreed);
+  }
+  // Both outcomes occur: a field the kind does not print, or a name equal
+  // up to its NUL, must not diverge.
+  EXPECT_GT(Diverged, 0u);
+  EXPECT_GT(Agreed, 0u);
 }
 
 //===----------------------------------------------------------------------===//

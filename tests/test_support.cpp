@@ -188,6 +188,34 @@ TEST(TextTest, Helpers) {
   EXPECT_FALSE(parseInt("", V));
 }
 
+TEST(TextTest, AppendsMatchPrintf) {
+  for (uint64_t V : {uint64_t(0), uint64_t(7), uint64_t(0xabc), uint64_t(999),
+                     uint64_t(1000), UINT64_MAX}) {
+    std::string S = "<";
+    appendDecimal(S, V);
+    S += '|';
+    appendHex(S, V);
+    S += '|';
+    appendHex(S, V, 16);
+    S += '|';
+    appendHex(S, V, 2);
+    unsigned long long U = V;
+    EXPECT_EQ(S, formatv("<%llu|%llx|%016llx|%02llx", U, U, U, U));
+  }
+  for (const char *Str : {"", "abc", "thirteen_char", "fourteen_chars",
+                          "name_longer_than_fourteen"}) {
+    std::string S;
+    appendCString(S, Str, 14);
+    appendCString(S, Str);
+    EXPECT_EQ(S, formatv("%-14s%s", Str, Str));
+  }
+  // "%s" stops at the first NUL, and pads by what it printed.
+  const std::string WithNul("cut\0hidden", 10);
+  std::string S;
+  appendCString(S, WithNul.c_str(), 5);
+  EXPECT_EQ(S, "cut  ");
+}
+
 TEST(RandomTest, DeterministicAndRanged) {
   Rng A(42), B(42), C(43);
   EXPECT_EQ(A.next(), B.next());

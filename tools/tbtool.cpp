@@ -599,7 +599,6 @@ int cmdReconstruct(ArgList A) {
   ReconstructOptions Opts;
   Opts.Cache.Enabled = !NoCache;
   Opts.Parallel.Jobs = Jobs;
-  Opts.Render.Tree = Tree;
   Reconstructor R(Store, Opts);
   ReconstructedTrace Trace;
   if (Jobs > 1) {
@@ -616,8 +615,7 @@ int cmdReconstruct(ArgList A) {
   for (const ThreadTrace &T : Trace.Threads) {
     if (OnlyThread >= 0 && T.ThreadId != static_cast<uint64_t>(OnlyThread))
       continue;
-    std::fputs(Opts.Render.Tree ? renderCallTree(T).c_str()
-                                : renderFlatTrace(T).c_str(),
+    std::fputs(Tree ? renderCallTree(T).c_str() : renderFlatTrace(T).c_str(),
                stdout);
     std::printf("\n");
   }
