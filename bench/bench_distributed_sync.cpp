@@ -99,7 +99,7 @@ PingPongResult runPingPong(bool Instrument) {
     TracebackRuntime *CR = D.runtimeFor(*Client, Technology::Native);
     TracebackRuntime *SR = D.runtimeFor(*Server, Technology::Native);
     for (TracebackRuntime *RT : {CR, SR}) {
-      SnapFile Snap = RT->takeSnap(SnapReason::External, 0);
+      SnapFile Snap = *RT->takeSnap(SnapReason::External, 0);
       ReconstructedTrace T = D.reconstruct(Snap);
       for (const ThreadTrace &Th : T.Threads)
         for (const TraceEvent &E : Th.Events)

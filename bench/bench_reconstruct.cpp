@@ -215,7 +215,7 @@ void printPipelineBench() {
     V.Seconds = Best;
     V.RecordsPerSec = static_cast<double>(W.DagRecords) / Best;
     Results.push_back(V);
-    if (!C.Opts.legacyUncached() && C.Opts.Cache.Enabled) {
+    if (!C.Opts.Cache.LegacyUncached && C.Opts.Cache.Enabled) {
       CacheHits = R.pathCache().hits();
       CacheMisses = R.pathCache().misses();
     }

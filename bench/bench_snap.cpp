@@ -4,32 +4,22 @@
 //
 // The snap path is the first-failure pipeline's I/O bottleneck: every
 // fault produces one snap per group member, and the daemon must forward
-// and archive them all (sections 3.6-3.7). This bench measures the fast
-// snap path against the pre-PR behavior:
+// and archive them all (sections 3.6-3.7). This bench measures it:
 //
-//   wire format   bytes/snap of the v3 monolithic image vs the v4
-//                 sectioned image with trace-aware compression, plus
-//                 serialize/deserialize throughput for both. Target:
-//                 >= 4x size reduction on a deployment-shaped workload.
+//   wire format   bytes/snap of the v4 sectioned image with trace-aware
+//                 compression against its raw size (the sum of the
+//                 sections' uncompressed sizes, snapSectionStats), plus
+//                 serialize/deserialize throughput normalized to the raw
+//                 size. Target: >= 4x size reduction on a
+//                 deployment-shaped workload.
 //
 //   fan-out       wall time from one faulting snap to all N group-member
 //                 snaps delivered downstream and archived, at N = 8, 64
-//                 and 256 processes:
-//                   legacy_sync_copy   the pre-PR pipeline: by-value
-//                                      runtime->daemon delivery,
-//                                      synchronous ingestion, a copying
-//                                      downstream sink, and per-snap
-//                                      archival of the uncompressed v3
-//                                      monolithic image through its own
-//                                      file open
-//                   fast_async_shared  sharded async queues drained with
-//                                      pooled v4 serialization, batched
-//                                      archive writes and shared-pointer
-//                                      delivery
-//                 The fan-out rig also yields the headline size numbers:
-//                 bytes/snap of its real runtime snaps, raw (v2) vs v4.
-//                 Targets: >= 4x size reduction, >= 2x fan-out
-//                 throughput, both on the 64-process workload.
+//                 and 256 processes: sharded async queues drained with
+//                 pooled v4 serialization, batched archive writes and
+//                 shared-pointer delivery. The fan-out rig also yields
+//                 the headline size numbers: raw vs v4 bytes/snap of its
+//                 real runtime snaps.
 //
 // Results go to BENCH_snap.json (BENCH_snap_smoke.json in the ctest
 // smoke run, which also shrinks N to 4 and 8).
@@ -48,6 +38,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -74,24 +65,34 @@ double now() {
 // Part 1: wire format — size and codec throughput.
 // ---------------------------------------------------------------------------
 
+/// Logical size of a v4 image: the sum of its sections' raw sizes.
+uint64_t rawBytes(const std::vector<uint8_t> &Image) {
+  uint32_t Version = 0;
+  std::vector<SnapSectionStat> Stats;
+  if (!snapSectionStats(Image, Version, Stats))
+    std::abort();
+  uint64_t Raw = 0;
+  for (const SnapSectionStat &S : Stats)
+    Raw += S.RawBytes;
+  return Raw;
+}
+
 struct FormatResult {
-  uint64_t RawBytes = 0; ///< v3 monolithic image size.
+  uint64_t RawBytes = 0; ///< Sum of the v4 sections' raw sizes.
   uint64_t V4Bytes = 0;  ///< v4 sectioned + compressed image size.
-  double SerializeV3MBs = 0, SerializeV4MBs = 0;
-  double DeserializeV3MBs = 0, DeserializeV4MBs = 0;
+  double SerializeMBs = 0, DeserializeMBs = 0;
   bool RoundTripIdentical = false;
 };
 
 FormatResult benchFormat(const SnapFile &Snap, int Reps) {
   FormatResult R;
-  std::vector<uint8_t> V3 = Snap.serializeVersion(3);
   std::vector<uint8_t> V4 = Snap.serialize();
-  R.RawBytes = V3.size();
+  R.RawBytes = rawBytes(V4);
   R.V4Bytes = V4.size();
 
-  // Throughput is normalized to the raw (v3) image size, so the v4
-  // numbers answer "how fast does the raw trace volume move through the
-  // codec", not "how fast do the smaller files copy".
+  // Throughput is normalized to the raw size, so it answers "how fast
+  // does the raw trace volume move through the codec", not "how fast do
+  // the smaller files copy".
   double MB = static_cast<double>(R.RawBytes) / (1024.0 * 1024.0);
   auto best = [&](auto &&Fn) {
     double Best = 1e100;
@@ -106,22 +107,13 @@ FormatResult benchFormat(const SnapFile &Snap, int Reps) {
   };
 
   std::vector<uint8_t> Out;
-  R.SerializeV3MBs = MB / best([&] {
-    Out = Snap.serializeVersion(3);
-    benchmark::DoNotOptimize(Out.data());
-  });
-  R.SerializeV4MBs = MB / best([&] {
+  R.SerializeMBs = MB / best([&] {
     Out.clear();
     Snap.serializeTo(Out);
     benchmark::DoNotOptimize(Out.data());
   });
   SnapFile Decoded;
-  R.DeserializeV3MBs = MB / best([&] {
-    Decoded = SnapFile();
-    if (!SnapFile::deserialize(V3, Decoded))
-      std::abort();
-  });
-  R.DeserializeV4MBs = MB / best([&] {
+  R.DeserializeMBs = MB / best([&] {
     Decoded = SnapFile();
     if (!SnapFile::deserialize(V4, Decoded))
       std::abort();
@@ -136,57 +128,13 @@ FormatResult benchFormat(const SnapFile &Snap, int Reps) {
 // Part 2: group-snap fan-out through the daemon.
 // ---------------------------------------------------------------------------
 
-/// Legacy downstream: a Versioned sink, so the shared-delivery bridge
-/// copies every snap into it — the pre-PR by-value chain.
-class CopySink : public SnapSink {
-public:
-  unsigned consumerVersion() const override { return Versioned; }
-  void onSnap(const SnapFile &Snap) override { Snaps.push_back(Snap); }
-  std::vector<SnapFile> Snaps;
-};
-
-/// Fast downstream: holds shared handles, no copies.
+/// The downstream: holds the shared handles it is given, no copies.
 class SharedSink : public SnapSink {
 public:
-  unsigned consumerVersion() const override { return SharedDelivery; }
-  void onSnap(const SnapFile &) override {}
-  void onSnapShared(const std::shared_ptr<const SnapFile> &Snap) override {
+  void onSnap(const std::shared_ptr<const SnapFile> &Snap) override {
     Snaps.push_back(Snap);
   }
   std::vector<std::shared_ptr<const SnapFile>> Snaps;
-};
-
-/// The runtime -> daemon hop. Pre-PR, runtimes delivered snaps by value
-/// (SnapSink::onSnap) and the daemon deep-copied each into a shared
-/// instance; the fast path hands over one shared pointer. The legacy
-/// variant routes through the copying entry so that per-snap copy is
-/// charged where the old pipeline paid it.
-class ProducerSwitch : public SnapSink {
-public:
-  ServiceDaemon *Daemon = nullptr;
-  bool SharedMode = true;
-  unsigned consumerVersion() const override {
-    return SharedMode ? SharedDelivery : Versioned;
-  }
-  void onSnap(const SnapFile &Snap) override { Daemon->onSnap(Snap); }
-  void onSnapShared(const std::shared_ptr<const SnapFile> &Snap) override {
-    if (SharedMode)
-      Daemon->onSnapShared(Snap);
-    else
-      Daemon->onSnap(*Snap); // The pre-PR by-value hop: daemon copies.
-  }
-};
-
-/// The daemon's downstream is fixed at construction, so the rig routes
-/// through this switch to swap sinks between variants.
-class SwitchSink : public SnapSink {
-public:
-  SnapSink *Target = nullptr;
-  unsigned consumerVersion() const override { return SharedDelivery; }
-  void onSnap(const SnapFile &Snap) override { Target->onSnap(Snap); }
-  void onSnapShared(const std::shared_ptr<const SnapFile> &Snap) override {
-    Target->onSnapShared(Snap); // Versioned targets bridge to a copy.
-  }
 };
 
 // A call-heavy loop with branching: fills the ring with DAG records the
@@ -210,22 +158,28 @@ fn main() export {
 }
 )";
 
+/// One fan-out size's best time and the mean raw (sum of section raw
+/// sizes) vs v4 bytes/snap of the group snaps it delivered.
+struct FanoutResult {
+  unsigned Procs = 0;
+  double Sec = 0;
+  uint64_t RawBytesPerSnap = 0, V4BytesPerSnap = 0;
+};
+
 /// One machine, N instrumented processes in one process group, buffers
-/// pre-filled by running the workload. Variants re-trigger group snaps
+/// pre-filled by running the workload. Repetitions re-trigger group snaps
 /// against the same rig (snapping never mutates the trace buffers).
 struct FanoutRig {
   World W;
   MetricsRegistry Registry;
-  ProducerSwitch Producer;
-  SwitchSink Switch;
+  SharedSink Down;
   std::unique_ptr<ServiceDaemon> Daemon;
   std::vector<std::unique_ptr<TracebackRuntime>> Runtimes;
   unsigned Procs = 0;
 
   explicit FanoutRig(unsigned N) : Procs(N) {
     Machine *M = W.createMachine("bench");
-    Daemon = std::make_unique<ServiceDaemon>(*M, &Switch, &Registry);
-    Producer.Daemon = Daemon.get();
+    Daemon = std::make_unique<ServiceDaemon>(*M, &Down, &Registry);
 
     Module App = compileBench(FanoutSource, "fanout");
     InstrumentOptions IOpts;
@@ -237,13 +191,13 @@ struct FanoutRig {
       std::abort();
     }
     // Deployment-default buffer shape (RtPolicy::BufferBytes): the raw
-    // byte volume per snap is what separates the two pipelines, so the
-    // rig must not shrink it.
+    // byte volume per snap is what the pipeline moves, so the rig must
+    // not shrink it.
     RtPolicy Policy = quietPolicy();
     for (unsigned I = 0; I < N; ++I) {
       Process *P = M->createProcess(formatv("worker%u", I));
       auto RT = std::make_unique<TracebackRuntime>(*P, Technology::Native,
-                                                   Policy, &Producer,
+                                                   Policy, Daemon.get(),
                                                    nullptr, &Registry);
       P->attachRuntime(RT.get());
       Daemon->watch(*P, *RT, "workers");
@@ -257,50 +211,36 @@ struct FanoutRig {
     W.run(static_cast<uint64_t>(N) * 120'000);
   }
 
-  /// Mean bytes/snap of the group snaps the last fast-variant run
-  /// delivered, raw (v2 monolithic) vs v4.
-  uint64_t RawBytesPerSnap = 0, V4BytesPerSnap = 0;
-
   /// Time from one faulting snap to all N member snaps delivered + the
-  /// archive written. Returns best-of-reps seconds.
-  double measure(bool Fast, int Reps, const std::string &ArchivePath,
-                 ThreadPool *Pool) {
+  /// archive written, best of \p Reps.
+  FanoutResult measure(int Reps, const std::string &ArchivePath,
+                       ThreadPool *Pool) {
     ServiceDaemon::IngestOptions O;
-    O.Async = Fast;
+    O.Async = true;
     O.QueueCapacity = 2 * Procs + 8;
     O.ArchivePath = ArchivePath;
-    // The pre-PR pipeline stored the uncompressed monolithic image; the
-    // raw byte volume through the filesystem is part of what v4 cuts.
-    O.ArchiveFormatVersion = Fast ? 4 : 3;
     // Pooled archive serialization only helps with real cores behind it;
     // on a single-CPU host the drain serializes inline.
-    O.Pool = Fast && std::thread::hardware_concurrency() > 1 ? Pool : nullptr;
+    O.Pool = std::thread::hardware_concurrency() > 1 ? Pool : nullptr;
     Daemon->configureIngest(O);
 
-    CopySink Legacy;
-    SharedSink Shared;
-    Producer.SharedMode = Fast;
-    Switch.Target = Fast ? static_cast<SnapSink *>(&Shared)
-                         : static_cast<SnapSink *>(&Legacy);
-    double Best = 1e100;
+    FanoutResult R;
+    R.Procs = Procs;
+    R.Sec = 1e100;
     for (int Rep = 0; Rep < Reps; ++Rep) {
       std::remove(ArchivePath.c_str());
-      Legacy.Snaps.clear();
-      Shared.Snaps.clear();
+      Down.Snaps.clear();
       double T0 = now();
-      Runtimes[0]->takeSnapShared(SnapReason::External, 0);
-      if (Fast)
-        Daemon->drainIngest();
+      Runtimes[0]->takeSnap(SnapReason::External, 0);
+      Daemon->drainIngest();
       double S = now() - T0;
-      size_t Delivered = Fast ? Shared.Snaps.size() : Legacy.Snaps.size();
-      if (Delivered != Procs || Daemon->queuedSnaps() != 0) {
+      if (Down.Snaps.size() != Procs || Daemon->queuedSnaps() != 0) {
         std::fprintf(stderr,
                      "fan-out delivered %zu of %u snaps (queued %zu)\n",
-                     Delivered, Procs, Daemon->queuedSnaps());
+                     Down.Snaps.size(), Procs, Daemon->queuedSnaps());
         std::abort();
       }
-      if (S < Best)
-        Best = S;
+      R.Sec = std::min(R.Sec, S);
     }
     // The archive must hold one parseable entry per group member.
     std::vector<SnapArchiveEntry> Entries;
@@ -310,23 +250,15 @@ struct FanoutRig {
       std::abort();
     }
     std::remove(ArchivePath.c_str());
-    if (Fast) {
-      uint64_t Raw = 0, V4 = 0;
-      for (const auto &SP : Shared.Snaps) {
-        Raw += SP->serializeVersion(2).size();
-        V4 += SP->serialize().size();
-      }
-      RawBytesPerSnap = Raw / Procs;
-      V4BytesPerSnap = V4 / Procs;
+    for (const auto &SP : Down.Snaps) {
+      std::vector<uint8_t> Image = SP->serialize();
+      R.RawBytesPerSnap += rawBytes(Image);
+      R.V4BytesPerSnap += Image.size();
     }
-    return Best;
+    R.RawBytesPerSnap /= Procs;
+    R.V4BytesPerSnap /= Procs;
+    return R;
   }
-};
-
-struct FanoutResult {
-  unsigned Procs = 0;
-  double LegacySec = 0, FastSec = 0;
-  uint64_t RawBytesPerSnap = 0, V4BytesPerSnap = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -343,25 +275,22 @@ void writeJson(const FormatResult &F, const SynthWorkloadOptions &O,
                O.Modules, O.DagsPerModule, O.Threads, O.RecordsPerThread);
   J += formatv(
       "  \"format\": {\"raw_bytes\": %llu, \"v4_bytes\": %llu, "
-      "\"size_reduction\": %.2f, \"serialize_v3_mb_s\": %.1f, "
-      "\"serialize_v4_mb_s\": %.1f, \"deserialize_v3_mb_s\": %.1f, "
-      "\"deserialize_v4_mb_s\": %.1f, \"round_trip_identical\": %s},\n",
+      "\"size_reduction\": %.2f, \"serialize_mb_s\": %.1f, "
+      "\"deserialize_mb_s\": %.1f, \"round_trip_identical\": %s},\n",
       static_cast<unsigned long long>(F.RawBytes),
       static_cast<unsigned long long>(F.V4Bytes),
       F.V4Bytes ? static_cast<double>(F.RawBytes) / F.V4Bytes : 0.0,
-      F.SerializeV3MBs, F.SerializeV4MBs, F.DeserializeV3MBs,
-      F.DeserializeV4MBs, F.RoundTripIdentical ? "true" : "false");
+      F.SerializeMBs, F.DeserializeMBs,
+      F.RoundTripIdentical ? "true" : "false");
   J += formatv("  \"fanout_pool_jobs\": %u,\n", PoolJobs);
   J += "  \"fanout\": [\n";
   for (size_t I = 0; I < Fanout.size(); ++I) {
     const FanoutResult &R = Fanout[I];
     J += formatv(
-        "    {\"procs\": %u, \"legacy_sync_copy_ms\": %.3f, "
-        "\"fast_async_shared_ms\": %.3f, \"speedup\": %.2f, "
+        "    {\"procs\": %u, \"fanout_ms\": %.3f, "
         "\"raw_bytes_per_snap\": %llu, \"v4_bytes_per_snap\": %llu, "
         "\"size_reduction\": %.2f}%s\n",
-        R.Procs, R.LegacySec * 1e3, R.FastSec * 1e3,
-        R.FastSec > 0 ? R.LegacySec / R.FastSec : 0.0,
+        R.Procs, R.Sec * 1e3,
         static_cast<unsigned long long>(R.RawBytesPerSnap),
         static_cast<unsigned long long>(R.V4BytesPerSnap),
         R.V4BytesPerSnap
@@ -400,17 +329,15 @@ void runSnapBench() {
   SynthWorkload W = makeSynthWorkload(/*Seed=*/42, O);
   FormatResult F = benchFormat(W.Snap, Reps);
 
-  std::printf("Snap wire format (v3 monolithic vs v4 compressed)\n");
+  std::printf("Snap wire format (raw sections vs v4 compressed)\n");
   printRule();
-  std::printf("raw (v3) bytes/snap        %12llu\n",
+  std::printf("raw bytes/snap             %12llu\n",
               static_cast<unsigned long long>(F.RawBytes));
   std::printf("v4 bytes/snap              %12llu  (%.2fx smaller)\n",
               static_cast<unsigned long long>(F.V4Bytes),
               F.V4Bytes ? static_cast<double>(F.RawBytes) / F.V4Bytes : 0.0);
-  std::printf("serialize MB/s (raw-normalized)    v3 %8.1f   v4 %8.1f\n",
-              F.SerializeV3MBs, F.SerializeV4MBs);
-  std::printf("deserialize MB/s (raw-normalized)  v3 %8.1f   v4 %8.1f\n",
-              F.DeserializeV3MBs, F.DeserializeV4MBs);
+  std::printf("serialize MB/s (raw-normalized)    %8.1f\n", F.SerializeMBs);
+  std::printf("deserialize MB/s (raw-normalized)  %8.1f\n", F.DeserializeMBs);
   std::printf("v4 round trip byte-identical: %s\n\n",
               F.RoundTripIdentical ? "yes" : "NO");
   if (!F.RoundTripIdentical)
@@ -426,22 +353,13 @@ void runSnapBench() {
   std::printf("Group-snap fan-out (one fault -> N member snaps delivered "
               "+ archived)\n");
   printRule();
-  std::printf("%6s %22s %22s %9s\n", "procs", "legacy_sync_copy(ms)",
-              "fast_async_shared(ms)", "speedup");
+  std::printf("%6s %12s\n", "procs", "fanout(ms)");
   printRule();
   std::vector<FanoutResult> Fanout;
   for (unsigned N : Sizes) {
-    FanoutRig Rig(N);
-    FanoutResult R;
-    R.Procs = N;
-    R.LegacySec = Rig.measure(false, Reps, "bench_snap_legacy.tbar", &Pool);
-    R.FastSec = Rig.measure(true, Reps, "bench_snap_fast.tbar", &Pool);
-    R.RawBytesPerSnap = Rig.RawBytesPerSnap;
-    R.V4BytesPerSnap = Rig.V4BytesPerSnap;
-    Fanout.push_back(R);
-    std::printf("%6u %22.3f %22.3f %8.2fx\n", N, R.LegacySec * 1e3,
-                R.FastSec * 1e3,
-                R.FastSec > 0 ? R.LegacySec / R.FastSec : 0.0);
+    Fanout.push_back(
+        FanoutRig(N).measure(Reps, "bench_snap_fanout.tbar", &Pool));
+    std::printf("%6u %12.3f\n", N, Fanout.back().Sec * 1e3);
   }
   printRule();
   for (const FanoutResult &R : Fanout)
@@ -483,7 +401,7 @@ void BM_SnapSerializeV4(benchmark::State &State) {
     benchmark::DoNotOptimize(Out.data());
   }
   State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
-                          smallSnap().serializeVersion(3).size());
+                          rawBytes(smallSnap().serialize()));
 }
 BENCHMARK(BM_SnapSerializeV4);
 
@@ -496,7 +414,7 @@ void BM_SnapDeserializeV4(benchmark::State &State) {
     benchmark::DoNotOptimize(S.Buffers.data());
   }
   State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
-                          smallSnap().serializeVersion(3).size());
+                          rawBytes(smallSnap().serialize()));
 }
 BENCHMARK(BM_SnapDeserializeV4);
 

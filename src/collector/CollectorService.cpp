@@ -47,31 +47,13 @@ bool CollectorService::push(std::vector<uint8_t> Image,
   return Ok;
 }
 
-bool CollectorService::consume(const SnapFile &Snap,
-                               const std::string &Label) {
-  (void)Label;
-  return push(Snap.serialize(), /*SrcMachineId=*/0);
-}
-
-bool CollectorService::consumeImage(const std::vector<uint8_t> &Image,
-                                    const std::string &Label) {
-  (void)Label;
-  return push(Image, /*SrcMachineId=*/0);
-}
-
 void CollectorService::attachTransport(TransportEndpoint &Endpoint) {
   detachTransport();
   EP = &Endpoint;
   PrevHandler = Endpoint.Handler;
-  auto Prev = PrevHandler;
-  bool Chain = Opt.ChainHandler;
-  Endpoint.Handler = [this, Prev, Chain](const WireFrame &F) {
-    if (F.Type == FrameType::SnapPush) {
+  Endpoint.Handler = [this, Prev = PrevHandler](const WireFrame &F) {
+    if (F.Type == FrameType::SnapPush)
       push(F.Payload, F.SrcMachine);
-      if (Chain && Prev)
-        Prev(F);
-      return;
-    }
     if (Prev)
       Prev(F);
   };

@@ -6,21 +6,21 @@
 ///
 /// \file
 /// The fleet-facing half of the collector: a sharded ingestion front
-/// that drains TransportEndpoint snap pushes (and any SnapSource) into a
-/// SnapStore. Modeled on the service daemon's async ingest: arriving
-/// images land in bounded per-shard queues (sharded by source machine so
-/// one chatty machine cannot starve the rest), each stamped with a
-/// global arrival sequence; drain() merges the shards back into arrival
-/// order, so the store's contents are a deterministic function of the
-/// arrival stream no matter how the shards interleaved. A full shard
-/// queue drains inline — ingest back-pressure must never drop a fault
-/// snap, the same rule the daemon's spill path enforces.
+/// that drains snap images handed to push() (TransportEndpoint snap
+/// pushes included) into a SnapStore. Modeled on the service daemon's
+/// async ingest: arriving images land in bounded per-shard queues
+/// (sharded by source machine so one chatty machine cannot starve the
+/// rest), each stamped with a global arrival sequence; drain() merges
+/// the shards back into arrival order, so the store's contents are a
+/// deterministic function of the arrival stream no matter how the shards
+/// interleaved. A full shard queue drains inline — ingest back-pressure
+/// must never drop a fault snap, the same rule the daemon's spill path
+/// enforces.
 ///
 /// attachTransport() hooks a TransportEndpoint's delivery handler:
-/// SnapPush frames are enqueued with their source machine id, every
-/// other frame type falls through to the previous handler (which also
-/// keeps running for SnapPush when chaining is on, so a Deployment's
-/// snaps() view stays intact while the collector indexes).
+/// SnapPush frames are enqueued with their source machine id, and every
+/// frame — SnapPush included — also reaches the previous handler, so a
+/// Deployment's snaps() view stays intact while the collector indexes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +29,6 @@
 
 #include "collector/SnapStore.h"
 #include "support/Metrics.h"
-#include "support/SnapSource.h"
 
 #include <cstdint>
 #include <deque>
@@ -48,32 +47,22 @@ struct CollectorOptions {
   /// Per-shard queue bound. An enqueue into a full shard drains the
   /// whole service inline first (deterministic, never drops).
   size_t QueueCapacity = 256;
-  /// Keep the endpoint's previous handler running for SnapPush frames
-  /// (a Deployment's snaps() view) in addition to collector ingest.
-  bool ChainHandler = true;
   /// Destination of the "collector.ingest." instrument family
   /// (null = the process-global registry).
   MetricsRegistry *Metrics = nullptr;
 };
 
-/// Drains snap pushes into a SnapStore. Also a SnapConsumer, so any
-/// SnapSource (directory, archive, queue) can feed the same store
-/// through the same ordering machinery.
-class CollectorService : public SnapConsumer {
+/// Drains snap pushes into a SnapStore.
+class CollectorService {
 public:
   /// \p Store must outlive the service and be open for writing.
   CollectorService(SnapStore &Store, const CollectorOptions &O = {});
 
   /// Enqueues one serialized snap image from \p SrcMachineId (0 = a
-  /// local/direct source). Returns false only when the inline-drain
-  /// fallback hit a store error (recorded in lastError()).
+  /// local/direct source, such as a SnapSource loop). The only way in:
+  /// transport pushes arrive here too. Returns false only when the
+  /// inline-drain fallback hit a store error (recorded in lastError()).
   bool push(std::vector<uint8_t> Image, uint64_t SrcMachineId);
-
-  /// SnapConsumer: serialize-and-push for object-form feeds…
-  bool consume(const SnapFile &Snap, const std::string &Label) override;
-  /// …and verbatim bytes for image-form feeds (the common path).
-  bool consumeImage(const std::vector<uint8_t> &Image,
-                    const std::string &Label) override;
 
   /// Hooks \p EP's delivery handler (see file comment). The previous
   /// handler is preserved and restored by detachTransport().

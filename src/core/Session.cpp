@@ -16,17 +16,13 @@
 
 using namespace traceback;
 
-/// Fans snaps out to the deployment's archive. Speaks the shared-delivery
-/// consumer interface: the whole daemon path hands one immutable snap
-/// around by pointer, and the single archival copy happens here, at the
-/// terminal sink. Telemetry relayed by daemons is not dropped on the
-/// floor (it is merely acknowledged; the registry already has the data).
+/// Fans snaps out to the deployment's archive. The whole daemon path hands
+/// one immutable snap around by pointer; the single archival copy happens
+/// here, at the terminal sink.
 class Deployment::Collector : public SnapSink {
 public:
   explicit Collector(std::vector<SnapFile> &Snaps) : Snaps(Snaps) {}
-  unsigned consumerVersion() const override { return SharedDelivery; }
-  void onSnap(const SnapFile &Snap) override { Snaps.push_back(Snap); }
-  void onSnapShared(const std::shared_ptr<const SnapFile> &Snap) override {
+  void onSnap(const std::shared_ptr<const SnapFile> &Snap) override {
     Snaps.push_back(*Snap);
   }
 

@@ -32,7 +32,6 @@ ServiceDaemon::ServiceDaemon(Machine &M, SnapSink *Downstream,
   DM.HeartbeatSamples = &Reg.counter("daemon.heartbeat_samples");
   DM.HangSnaps = &Reg.counter("daemon.hang_snaps");
   DM.PostMortemSnaps = &Reg.counter("daemon.postmortem_snaps");
-  DM.TelemetryForwarded = &Reg.counter("daemon.telemetry_forwarded");
   DM.WatchedProcesses = &Reg.gauge("daemon.watched_processes");
   DM.IngestEnqueued = &Reg.counter("daemon.ingest.enqueued");
   DM.IngestDelivered = &Reg.counter("daemon.ingest.delivered");
@@ -58,13 +57,6 @@ void ServiceDaemon::watch(Process &P, TracebackRuntime &RT,
   DM.WatchedProcesses->add(1);
 }
 
-void ServiceDaemon::onTelemetry(uint64_t RuntimeId,
-                                const MetricsSnapshot &Snapshot) {
-  DM.TelemetryForwarded->add();
-  if (Downstream && Downstream->consumerVersion() >= Versioned)
-    Downstream->onTelemetry(RuntimeId, Snapshot);
-}
-
 unsigned ServiceDaemon::shardFor(const std::string &Group) const {
   // FNV-1a: stable across runs and platforms (std::hash is neither).
   uint64_t H = 1469598103934665603ull;
@@ -84,11 +76,7 @@ const std::string &ServiceDaemon::groupOf(uint64_t Pid) const {
   return None;
 }
 
-void ServiceDaemon::onSnap(const SnapFile &Snap) {
-  onSnapShared(std::make_shared<const SnapFile>(Snap));
-}
-
-void ServiceDaemon::onSnapShared(const std::shared_ptr<const SnapFile> &Snap) {
+void ServiceDaemon::onSnap(const std::shared_ptr<const SnapFile> &Snap) {
   DM.SnapsReceived->add();
   if (!Ingest.Async) {
     deliver(Snap, nullptr, nullptr);
@@ -154,17 +142,11 @@ size_t ServiceDaemon::drainIngest() {
     // file. Without one, a single scratch buffer is reused across the
     // batch — a fresh allocation per image costs more than the serialize.
     const bool Archiving = !Ingest.ArchivePath.empty();
-    auto serializeImage = [&](const SnapFile &S, std::vector<uint8_t> &Out) {
-      if (Ingest.ArchiveFormatVersion == 4)
-        S.serializeTo(Out);
-      else
-        Out = S.serializeVersion(Ingest.ArchiveFormatVersion);
-    };
     std::vector<std::vector<uint8_t>> Images;
     if (Archiving && Ingest.Pool) {
       Images.resize(Batch.size());
       parallelForIndex(Ingest.Pool, Batch.size(), [&](size_t I) {
-        serializeImage(*Batch[I].Snap, Images[I]);
+        Batch[I].Snap->serializeTo(Images[I]);
       });
     }
     std::vector<uint8_t> Scratch;
@@ -175,7 +157,7 @@ size_t ServiceDaemon::drainIngest() {
           Image = &Images[I];
         } else {
           Scratch.clear();
-          serializeImage(*Batch[I].Snap, Scratch);
+          Batch[I].Snap->serializeTo(Scratch);
           Image = &Scratch;
         }
       }
@@ -200,14 +182,11 @@ void ServiceDaemon::deliver(const std::shared_ptr<const SnapFile> &Snap,
   if (Net)
     pushSnapOverNet(Snap, Image);
   else if (Downstream)
-    Downstream->onSnapShared(Snap);
+    Downstream->onSnap(Snap);
   if (!Ingest.ArchivePath.empty()) {
     std::vector<uint8_t> Local;
     if (!Image) {
-      if (Ingest.ArchiveFormatVersion == 4)
-        Snap->serializeTo(Local);
-      else
-        Local = Snap->serializeVersion(Ingest.ArchiveFormatVersion);
+      Snap->serializeTo(Local);
       Image = &Local;
     }
     if (Writer ? Writer->append(*Image)
@@ -282,7 +261,7 @@ size_t ServiceDaemon::groupSnap(const std::string &Group, uint64_t ExceptPid) {
     // arrives, not at the fault instant. The shared return is discarded:
     // delivery already happened through the runtime's sink, copy-free.
     DM.GroupSnapFanout->add();
-    W.RT->takeSnapShared(SnapReason::GroupPeer, 0);
+    W.RT->takeSnap(SnapReason::GroupPeer, 0);
     ++Count;
   }
   return Count;
@@ -301,11 +280,10 @@ void ServiceDaemon::configureTransport(TransportEndpoint &EP,
 
 void ServiceDaemon::pushSnapOverNet(const std::shared_ptr<const SnapFile> &Snap,
                                     const std::vector<uint8_t> *Image) {
-  // Reuse the archive image when it is already the v4 wire form — the
-  // bytes the batch drain serialized once serve both the archive append
-  // and the wire push.
+  // Reuse the archive image when there is one — the bytes the batch drain
+  // serialized once serve both the archive append and the wire push.
   std::vector<uint8_t> Local;
-  if (!Image || Ingest.ArchiveFormatVersion != 4) {
+  if (!Image) {
     Snap->serializeTo(Local);
     Image = &Local;
   }
@@ -318,7 +296,7 @@ void ServiceDaemon::pushSnapOverNet(const std::shared_ptr<const SnapFile> &Snap,
   // re-push after the heal; the simulation's downstream is that disk).
   DM.NetPushFallback->add();
   if (Downstream)
-    Downstream->onSnapShared(Snap);
+    Downstream->onSnap(Snap);
 }
 
 void ServiceDaemon::onNetFrame(const WireFrame &F) {
@@ -329,8 +307,7 @@ void ServiceDaemon::onNetFrame(const WireFrame &F) {
       return;
     DM.NetSnapsReceived->add();
     if (Downstream)
-      Downstream->onSnapShared(
-          std::shared_ptr<const SnapFile>(std::move(Snap)));
+      Downstream->onSnap(std::shared_ptr<const SnapFile>(std::move(Snap)));
     return;
   }
   case FrameType::GroupSnapRequest: {
@@ -478,7 +455,7 @@ size_t ServiceDaemon::snapHungProcesses() {
     for (const Watched &W : Processes)
       if (W.P == P) {
         DM.HangSnaps->add();
-        W.RT->takeSnapShared(SnapReason::Hang, 0);
+        W.RT->takeSnap(SnapReason::Hang, 0);
         ++Count;
       }
   }
@@ -496,7 +473,7 @@ ServiceDaemon::collectPostMortem(Process &P) {
     // The buffers live in the process's memory image (the memory-mapped
     // file); the snap reads them from there regardless of process state.
     DM.PostMortemSnaps->add();
-    Result.push_back(W.RT->takeSnapShared(SnapReason::External, 0));
+    Result.push_back(W.RT->takeSnap(SnapReason::External, 0));
   }
   // Post-mortem collection is an explicitly synchronous operation: the
   // caller (and its downstream sink) expect the full picture on return.

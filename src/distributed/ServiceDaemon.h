@@ -62,14 +62,9 @@ public:
     size_t QueueCapacity = 256;
     /// Spill archive path ("" = deliver inline on overflow).
     std::string SpillPath;
-    /// When set, every ingested snap is also appended here (the daemon's
-    /// archival record; see SnapArchive / `tbtool archive`).
+    /// When set, every ingested snap is also appended here as a v4 image
+    /// (the daemon's archival record; see SnapArchive / `tbtool archive`).
     std::string ArchivePath;
-    /// Snap format version of archived images (2, 3 or 4). Default is the
-    /// current compressed format; older versions exist for archives that
-    /// must stay readable by pre-v4 tooling — at the cost of writing the
-    /// full uncompressed image per snap.
-    uint32_t ArchiveFormatVersion = 4;
     /// Used by drainIngest to serialize archive images in parallel.
     /// Delivery order stays deterministic regardless (global arrival
     /// order). Null = serialize inline.
@@ -146,22 +141,10 @@ public:
 
   // --- SnapSink ----------------------------------------------------------
 
-  /// The daemon speaks the shared-delivery consumer interface: it receives
-  /// snaps by shared pointer (fanning one immutable instance out to every
-  /// peer and downstream sink) and telemetry along with each snap.
-  unsigned consumerVersion() const override { return SharedDelivery; }
-
-  /// Legacy copying entry point: wraps the snap in a shared instance and
-  /// ingests it.
-  void onSnap(const SnapFile &Snap) override;
-
-  /// Receives a snap from a watched runtime: forwards it downstream (or
-  /// queues it, in async mode) and triggers group snaps on the faulting
-  /// process's peers.
-  void onSnapShared(const std::shared_ptr<const SnapFile> &Snap) override;
-
-  /// Counts and relays producer telemetry to a versioned downstream.
-  void onTelemetry(uint64_t RuntimeId, const MetricsSnapshot &Snapshot) override;
+  /// Receives a snap from a watched runtime: forwards the same shared
+  /// instance downstream (or queues it, in async mode) and triggers group
+  /// snaps on the faulting process's peers.
+  void onSnap(const std::shared_ptr<const SnapFile> &Snap) override;
 
   // --- Heartbeats (section 3.7.5) ----------------------------------------
 
@@ -200,9 +183,9 @@ private:
 
   size_t groupSnap(const std::string &Group, uint64_t ExceptPid);
 
-  /// Serializes \p Snap (reusing \p Image when it is already the v4 wire
-  /// form) and pushes it to the collector machine; falls back to the
-  /// direct downstream call when the collector is unreachable.
+  /// Pushes \p Snap to the collector machine, reusing \p Image (the drain's
+  /// archive image) when given and serializing otherwise; falls back to
+  /// the direct downstream call when the collector is unreachable.
   void pushSnapOverNet(const std::shared_ptr<const SnapFile> &Snap,
                        const std::vector<uint8_t> *Image);
 
@@ -259,7 +242,6 @@ private:
     Counter *HeartbeatSamples = nullptr;
     Counter *HangSnaps = nullptr;
     Counter *PostMortemSnaps = nullptr;
-    Counter *TelemetryForwarded = nullptr;
     Gauge *WatchedProcesses = nullptr;
     // Ingest-path back-pressure family ("daemon.ingest.*").
     Counter *IngestEnqueued = nullptr;

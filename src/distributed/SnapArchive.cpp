@@ -113,8 +113,9 @@ static bool readAll(const std::string &Path, std::vector<uint8_t> &Out) {
   return Ok;
 }
 
-/// Walks the entry frames, calling \p Fn(offset-of-image, size) for each
-/// intact entry. A torn final frame (crashed daemon) ends the walk cleanly.
+/// Walks the entry frames, calling \p Fn(frame offset, image size) for
+/// each intact entry; the image starts 5 bytes past its frame. A torn
+/// final frame (crashed daemon) ends the walk cleanly.
 template <typename FnT>
 static bool walkEntries(const std::vector<uint8_t> &Bytes, FnT Fn) {
   if (Bytes.size() < 8 || getU32(Bytes.data()) != ArchiveMagic ||
@@ -129,7 +130,7 @@ static bool walkEntries(const std::vector<uint8_t> &Bytes, FnT Fn) {
     uint64_t Size = getU32(Bytes.data() + Pos + 1);
     if (Bytes.size() - Pos - 5 < Size)
       break; // Torn tail: the last append never completed.
-    Fn(Pos + 5, Size);
+    Fn(Pos, Size);
     Pos += 5 + static_cast<size_t>(Size);
   }
   return true;
@@ -141,12 +142,12 @@ bool SnapArchive::list(const std::string &Path,
   std::vector<uint8_t> Bytes;
   if (!readAll(Path, Bytes))
     return false;
-  return walkEntries(Bytes, [&](size_t At, uint64_t Size) {
+  return walkEntries(Bytes, [&](size_t Frame, uint64_t Size) {
     SnapArchiveEntry E;
-    E.Offset = At;
+    E.Offset = Frame;
     E.ImageBytes = Size;
-    std::vector<uint8_t> Image(Bytes.begin() + At,
-                               Bytes.begin() + At + Size);
+    std::vector<uint8_t> Image(Bytes.begin() + Frame + 5,
+                               Bytes.begin() + Frame + 5 + Size);
     std::vector<SnapSectionStat> Stats;
     if (!snapSectionStats(Image, E.FormatVersion, Stats))
       E.FormatVersion = 0;
@@ -168,9 +169,10 @@ bool SnapArchive::extract(const std::string &Path, size_t Index,
     return false;
   bool Found = false;
   size_t I = 0;
-  bool Ok = walkEntries(Bytes, [&](size_t At, uint64_t Size) {
+  bool Ok = walkEntries(Bytes, [&](size_t Frame, uint64_t Size) {
     if (I++ == Index) {
-      Image.assign(Bytes.begin() + At, Bytes.begin() + At + Size);
+      Image.assign(Bytes.begin() + Frame + 5,
+                   Bytes.begin() + Frame + 5 + Size);
       Found = true;
     }
   });

@@ -31,7 +31,7 @@ namespace traceback {
 
 /// One archive entry as reported by SnapArchive::list.
 struct SnapArchiveEntry {
-  uint64_t Offset = 0;     ///< Byte offset of the image within the archive.
+  uint64_t Offset = 0;     ///< Byte offset of the entry frame (readImageAt).
   uint64_t ImageBytes = 0; ///< Serialized image size.
   uint32_t FormatVersion = 0; ///< Snap format version (0 = unparsable).
   bool HeaderOk = false;   ///< Whether the header-only parse succeeded.

@@ -761,14 +761,14 @@ ReconstructedTrace Reconstructor::reconstruct(const SnapFile &Snap,
                                               ThreadPool *Pool) const {
   auto SnapStart = std::chrono::steady_clock::now();
   ReconstructedTrace Result;
-  const bool Legacy = Opts.legacyUncached();
+  const bool Legacy = Opts.Cache.LegacyUncached;
   DagPathCache *CachePtr =
       (!Legacy && Opts.Cache.Enabled) ? &Cache : nullptr;
   if (Legacy)
     Pool = nullptr; // The baseline is strictly single-threaded.
 
   M.Snaps->add();
-  if (Opts.Render.DecodeTelemetry && !Snap.Telemetry.empty()) {
+  if (!Snap.Telemetry.empty()) {
     std::string Json;
     if (decodeTelemetryRecords(Snap.Telemetry, Json))
       Result.TelemetryJson = std::move(Json);

@@ -86,16 +86,8 @@ private:
 /// of overflowing the stack.
 std::vector<uint16_t> decodeDagPath(const MapDag &Dag, uint32_t PathBits);
 
-/// Tuning knobs for reconstruction, grouped by concern so new knobs land
-/// in the right sub-struct instead of widening one flat bag.
-// The pragma covers the whole struct: the deprecated flat alias below is
-// referenced by the implicitly-defined special members (via its default
-// member initializer), which GCC attributes to the struct declaration.
-// External assignments to the alias still warn at their own use sites.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
+/// Tuning knobs for reconstruction. Worker count is not one of them:
+/// reconstruct() takes an explicit pool, sized by its caller.
 struct ReconstructOptions {
   struct CacheOptions {
     /// Memoize DAG-path decoding in a cache shared across records,
@@ -105,36 +97,13 @@ struct ReconstructOptions {
     /// Reproduces the original single-pass reconstructor: per-record
     /// linear module scan, per-record mapfile lookup, fresh DFS for every
     /// record, no arena reservations. Kept as the benchmark baseline
-    /// (bench_reconstruct measures the pipeline against it).
+    /// (bench_reconstruct measures the pipeline against it) and as the
+    /// reference of the byte-identity sweep in test_reconstruct_parallel.
     bool LegacyUncached = false;
-  };
-  struct ParallelOptions {
-    /// Worker count batch drivers should use (<= 0 = hardware threads).
-    /// reconstruct() itself takes an explicit pool; this is the knob the
-    /// tool/bench layer sizes that pool from.
-    int Jobs = 1;
-  };
-  struct RenderOptions {
-    /// Decode the snap's embedded TELEMETRY stream into
-    /// ReconstructedTrace::TelemetryJson.
-    bool DecodeTelemetry = true;
   };
 
   CacheOptions Cache;
-  ParallelOptions Parallel;
-  RenderOptions Render;
-
-  /// Pre-regroup spelling of Cache.LegacyUncached; OR-ed into the
-  /// effective value so existing callers keep working for one release.
-  [[deprecated("use Cache.LegacyUncached instead")]] bool LegacyUncached =
-      false;
-
-  /// The value reconstruction actually honors (either spelling wins).
-  bool legacyUncached() const { return Cache.LegacyUncached || LegacyUncached; }
 };
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 /// Turns snaps into per-thread line traces.
 class Reconstructor {

@@ -70,15 +70,6 @@ struct RtPolicy {
   /// events within one process but cannot interleave across processes.
   bool UseLogicalClock = false;
 
-  /// Run the snap codec over each captured buffer at snap time, while the
-  /// copied bytes are still cache-hot, and cache the stream on the image
-  /// (SnapBufferImage::Encoded). Serializing the snap later (daemon
-  /// archives, spill files) then appends the cached stream instead of
-  /// re-reading tens of kilobytes of cold trace data per buffer. Costs a
-  /// few microseconds inside the snap; pays for itself on the first
-  /// serialize. Off = encode lazily at serialize time.
-  bool PrecodeSnapBuffers = true;
-
   /// Include a memory dump in snaps (section 3.6: "snaps may also include
   /// a memory or object dump, so that TraceBack can display the values of
   /// variables"): each live thread's stack top and the faulting address's

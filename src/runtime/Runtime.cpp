@@ -523,7 +523,7 @@ void TracebackRuntime::onProcessExit(Process &) {
       appendExtRecord(*T, {ExtType::ThreadEnd, 0, {T->Id, machineNow()}});
     }
   if (Policy.SnapOnExit)
-    takeSnapShared(SnapReason::ProcessExit, 0);
+    takeSnap(SnapReason::ProcessExit, 0);
   syncMetrics();
 }
 
@@ -618,7 +618,7 @@ void TracebackRuntime::maybeSnapForFault(Process &, Thread &T,
     ++Stat.SnapsSuppressed;
     return;
   }
-  takeSnapShared(Reason, Code);
+  takeSnap(Reason, Code);
 }
 
 void TracebackRuntime::onException(Process &P2, Thread &T,
@@ -643,7 +643,7 @@ void TracebackRuntime::onUnhandledException(Process &, Thread &T,
   LastFaultSeen = F;
   LastFaultThread = T.Id;
   if (Policy.SnapOnUnhandled)
-    takeSnapShared(SnapReason::Unhandled, static_cast<uint16_t>(F.Code));
+    takeSnap(SnapReason::Unhandled, static_cast<uint16_t>(F.Code));
 }
 
 void TracebackRuntime::onSignal(Process &, Thread &T, int Sig,
@@ -653,7 +653,7 @@ void TracebackRuntime::onSignal(Process &, Thread &T, int Sig,
           static_cast<uint16_t>(ExcInlineSignalFlag | (Sig & 0xFFF)),
           {0, 0, machineNow()}});
   if (Policy.SnapOnSignals.count(Sig) || (Fatal && Policy.SnapOnUnhandled))
-    takeSnapShared(SnapReason::Signal, static_cast<uint16_t>(Sig));
+    takeSnap(SnapReason::Signal, static_cast<uint16_t>(Sig));
 }
 
 void TracebackRuntime::onSignalHandlerDone(Process &, Thread &T, int Sig) {
@@ -666,17 +666,11 @@ void TracebackRuntime::onSignalHandlerDone(Process &, Thread &T, int Sig) {
 void TracebackRuntime::onSnapRequest(Process &, Thread *T, uint16_t Reason) {
   if (!Policy.SnapOnApi)
     return;
-  takeSnapShared(T ? SnapReason::Api : SnapReason::External, Reason);
-}
-
-SnapFile TracebackRuntime::takeSnap(SnapReason Reason, uint16_t Detail) {
-  // Legacy by-value interface: one copy for the caller; the sink-facing
-  // delivery inside takeSnapShared stays copy-free.
-  return *takeSnapShared(Reason, Detail);
+  takeSnap(T ? SnapReason::Api : SnapReason::External, Reason);
 }
 
 std::shared_ptr<const SnapFile>
-TracebackRuntime::takeSnapShared(SnapReason Reason, uint16_t Detail) {
+TracebackRuntime::takeSnap(SnapReason Reason, uint16_t Detail) {
   // In the real system the runtime suspends all threads here; our VM is
   // cooperative, so the world is already still while host code runs.
   auto SnapStart = std::chrono::steady_clock::now();
@@ -789,11 +783,10 @@ TracebackRuntime::takeSnapShared(SnapReason Reason, uint16_t Detail) {
   // daemon's archive path serializes this snap well after capture, when
   // re-reading the raw words would miss. Done after injector damage so the
   // cached stream always matches Raw.
-  if (Policy.PrecodeSnapBuffers)
-    for (SnapBufferImage &B : S.Buffers) {
-      B.Encoded.clear();
-      snapEncodeTo(B.Raw.data(), B.Raw.size(), B.Encoded);
-    }
+  for (SnapBufferImage &B : S.Buffers) {
+    B.Encoded.clear();
+    snapEncodeTo(B.Raw.data(), B.Raw.size(), B.Encoded);
+  }
 
   ++Stat.SnapsTaken;
   uint64_t Owned = 0;
@@ -811,8 +804,7 @@ TracebackRuntime::takeSnapShared(SnapReason Reason, uint16_t Detail) {
   // recovered traces; it is embedded after injector damage so a corrupted
   // snap still carries intact self-diagnostics.
   syncMetrics();
-  MetricsSnapshot Health = Reg.snapshot();
-  S.setTelemetry(Health);
+  S.setTelemetry(Reg.snapshot());
 
   // Anchor this capture in the execution record and, when recording is
   // on, embed the log so the snap becomes a re-executable test case. The
@@ -823,13 +815,8 @@ TracebackRuntime::takeSnapShared(SnapReason Reason, uint16_t Detail) {
                      P.Host->Owner->slices(),
                      Policy.RecordExecution ? &S.ExecLog : nullptr);
 
-  if (Sink) {
-    // Always deliver through the shared-pointer entry point; its default
-    // implementation bridges to onSnap(*Snap) for v1/v2 sinks.
-    Sink->onSnapShared(SP);
-    if (Sink->consumerVersion() >= SnapSink::Versioned)
-      Sink->onTelemetry(RuntimeId, Health);
-  }
+  if (Sink)
+    Sink->onSnap(SP);
   return SP;
 }
 

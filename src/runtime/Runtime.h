@@ -57,14 +57,10 @@ public:
   const RtPolicy &policy() const { return Policy; }
 
   /// Takes a snap right now (used by the service process / external snap
-  /// utility and the hang detector as well as internal triggers).
-  SnapFile takeSnap(SnapReason Reason, uint16_t Detail);
-
-  /// Like takeSnap, but returns the immutable shared instance that was
-  /// handed to the sink — the copy-free path the service daemon fans out
-  /// to peers and downstream sinks.
-  std::shared_ptr<const SnapFile> takeSnapShared(SnapReason Reason,
-                                                 uint16_t Detail);
+  /// utility and the hang detector as well as internal triggers). Returns
+  /// the immutable shared instance that was handed to the sink.
+  std::shared_ptr<const SnapFile> takeSnap(SnapReason Reason,
+                                           uint16_t Detail);
 
   /// Statistics the benches report. This struct is the single
   /// authoritative counter store: hot paths bump these plain fields only,

@@ -16,8 +16,6 @@ using namespace traceback;
 
 SnapSink::~SnapSink() = default;
 
-void SnapSink::onTelemetry(uint64_t, const MetricsSnapshot &) {}
-
 std::string traceback::snapReasonName(SnapReason R) {
   switch (R) {
   case SnapReason::Exception:
@@ -44,9 +42,9 @@ std::string traceback::snapReasonName(SnapReason R) {
 
 static const uint32_t SnapMagic = 0x50534254; // "TBSP"
 // Version 4 is sectioned (size-prefixed sections; buffer/memory/telemetry
-// payloads compressed with support/SnapCodec). Version 3 is monolithic
-// with a trailing TELEMETRY stream; version 2 is monolithic without one.
-// All three deserialize.
+// payloads compressed with support/SnapCodec) and the only one written.
+// Version 3 is monolithic with a trailing TELEMETRY stream; version 2 is
+// monolithic without one. All three deserialize.
 static const uint32_t SnapVersion = 4;
 static const uint32_t SnapVersionMonolithic = 3;
 static const uint32_t SnapVersionNoTelemetry = 2;
@@ -259,49 +257,8 @@ static bool readThreadList(ByteReader &R, SnapFile &Out) {
 }
 
 //===----------------------------------------------------------------------===//
-// Monolithic format (v2/v3) — kept for the compat matrix and as the
-// bench's size baseline
+// Monolithic format (v2/v3) — read only; tests/golden/golden.tbsnap pins v2
 //===----------------------------------------------------------------------===//
-
-static std::vector<uint8_t> serializeMonolithic(const SnapFile &S,
-                                                uint32_t Version) {
-  std::vector<uint8_t> Out;
-  ByteWriter W(Out);
-  W.writeU32(SnapMagic);
-  W.writeU32(Version);
-  writeScalarFields(W, S);
-  writeModuleList(W, S);
-
-  W.writeVarU64(S.Buffers.size());
-  for (const SnapBufferImage &B : S.Buffers) {
-    W.writeU32(B.Index);
-    W.writeU32(B.SubBufferWords);
-    W.writeU32(B.SubBufferCount);
-    W.writeU32(B.CommittedSubBuffer);
-    W.writeU64(B.OwnerThread);
-    W.writeU8(B.Desperation ? 1 : 0);
-    W.writeU64(B.RecordsBase);
-    W.writeBlob(B.Raw);
-  }
-
-  writeThreadList(W, S);
-
-  W.writeVarU64(S.Memory.size());
-  for (const SnapMemoryRegion &R : S.Memory) {
-    W.writeU64(R.Base);
-    W.writeString(R.Label);
-    W.writeBlob(R.Bytes);
-  }
-
-  // v2 predates telemetry: readers of that version never look for the
-  // trailing word stream, so it is dropped rather than misparsed.
-  if (Version >= SnapVersionMonolithic) {
-    W.writeVarU64(S.Telemetry.size());
-    for (uint32_t Word : S.Telemetry)
-      W.writeU32(Word);
-  }
-  return Out;
-}
 
 /// Parses the post-version remainder of a v2/v3 image. \p R is positioned
 /// just past the version word.
@@ -567,14 +524,6 @@ std::vector<uint8_t> SnapFile::serialize() const {
   std::vector<uint8_t> Out;
   serializeTo(Out);
   return Out;
-}
-
-std::vector<uint8_t> SnapFile::serializeVersion(uint32_t Version) const {
-  if (Version == SnapVersion)
-    return serialize();
-  if (Version == SnapVersionMonolithic || Version == SnapVersionNoTelemetry)
-    return serializeMonolithic(*this, Version);
-  return {};
 }
 
 bool SnapFile::deserialize(const std::vector<uint8_t> &Bytes, SnapFile &Out) {

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace traceback {
@@ -72,13 +71,13 @@ struct SnapBufferImage {
   /// to offsets within this image.
   uint64_t RecordsBase = 0;
   std::vector<uint8_t> Raw; ///< The record words, little endian.
-  /// Raw's codec stream, precomputed while the capture copy was still
-  /// cache-hot (see RtPolicy::PrecodeSnapBuffers) or retained from the v4
-  /// wire image at deserialize. serializeTo appends it verbatim instead
-  /// of re-reading Raw through the codec — the group-snap archival path
-  /// touches each buffer's bytes once, at capture. Empty = encode on
-  /// demand. Invariant: anything that mutates Raw must clear this (the
-  /// serializer cross-checks the stream's decoded size as a backstop).
+  /// Raw's codec stream, precomputed at capture while the copy was still
+  /// cache-hot, or retained from the v4 wire image at deserialize.
+  /// serializeTo appends it verbatim instead of re-reading Raw through
+  /// the codec — the group-snap archival path touches each buffer's
+  /// bytes once, at capture. Empty = encode on demand. Invariant:
+  /// anything that mutates Raw must clear this (the serializer
+  /// cross-checks the stream's decoded size as a backstop).
   std::vector<uint8_t> Encoded;
 };
 
@@ -157,13 +156,7 @@ struct SnapFile {
   /// serializeTo into a fresh vector.
   std::vector<uint8_t> serialize() const;
 
-  /// Writes a specific format version: 4 (current), 3 (monolithic +
-  /// telemetry) or 2 (monolithic, telemetry dropped). Old versions exist
-  /// for the compat tests and the bench's size baseline; new snaps are
-  /// always v4.
-  std::vector<uint8_t> serializeVersion(uint32_t Version) const;
-
-  /// Accepts v2, v3 and v4 images.
+  /// Accepts v2, v3 and v4 images (only v4 is ever written).
   static bool deserialize(const std::vector<uint8_t> &Bytes, SnapFile &Out);
 
   /// Header-only load: fills every scalar field plus Modules and Threads,
@@ -202,54 +195,14 @@ bool decodeTelemetryRecords(const std::vector<uint32_t> &Words,
                             std::string &JsonOut);
 
 /// Receives snaps as the runtime produces them (the transport to the
-/// service process / archive in a real deployment).
-///
-/// The interface is versioned so the consumer contract can grow without
-/// breaking existing sinks:
-///   v1 (default): snaps only — the original implicit contract.
-///   v2: additionally receives the producer's metrics snapshot via
-///       onTelemetry() whenever a snap is delivered.
-///   v3: receives snaps by shared pointer via onSnapShared(), so a group
-///       snap fanned out to many sinks shares one immutable SnapFile
-///       instead of copying its buffers per hop.
-/// Producers check consumerVersion() and skip telemetry work entirely for
-/// v1 sinks, so legacy sinks pay nothing for the extension. Producers
-/// always deliver through onSnapShared(); its default implementation
-/// bridges to onSnap(*Snap) so v1/v2 sinks keep working unchanged.
+/// service process / archive in a real deployment). A snap is handed over
+/// as one immutable shared instance, so a group snap fanned out to many
+/// sinks never copies its buffers; the producer's telemetry travels
+/// inside it (SnapFile::Telemetry).
 class SnapSink {
 public:
   virtual ~SnapSink();
-
-  /// The consumer-interface version this sink implements. Override to
-  /// return SnapSink::Versioned (or later) to opt into telemetry delivery,
-  /// SnapSink::SharedDelivery to opt into copy-free snap delivery.
-  virtual unsigned consumerVersion() const { return 1; }
-  static constexpr unsigned Versioned = 2;
-  static constexpr unsigned SharedDelivery = 3;
-
-  virtual void onSnap(const SnapFile &Snap) = 0;
-
-  /// Copy-free delivery path. Producers call this (not onSnap) for every
-  /// snap; sinks below SharedDelivery get the bridging default.
-  virtual void onSnapShared(const std::shared_ptr<const SnapFile> &Snap) {
-    onSnap(*Snap);
-  }
-
-  /// Delivered after onSnap() to sinks with consumerVersion() >= 2.
-  /// Default is a no-op so v1 sinks keep compiling unchanged.
-  virtual void onTelemetry(uint64_t RuntimeId, const MetricsSnapshot &Snapshot);
-};
-
-/// A SnapSink that just collects everything (tests, examples).
-class CollectingSnapSink : public SnapSink {
-public:
-  unsigned consumerVersion() const override { return Versioned; }
-  void onSnap(const SnapFile &Snap) override { Snaps.push_back(Snap); }
-  void onTelemetry(uint64_t RuntimeId, const MetricsSnapshot &Snapshot) override {
-    Telemetry.emplace_back(RuntimeId, Snapshot);
-  }
-  std::vector<SnapFile> Snaps;
-  std::vector<std::pair<uint64_t, MetricsSnapshot>> Telemetry;
+  virtual void onSnap(const std::shared_ptr<const SnapFile> &Snap) = 0;
 };
 
 } // namespace traceback

@@ -5,23 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One versioned interface pair for every way snaps enter a consumer.
-/// The project grew three ingest entry points — a directory of .tbsnap
-/// files (tbtool batch modes), a TBAR archive (daemon spill/archival),
-/// and the network push path (transport frames carrying serialized
-/// images) — each with its own scan/load loop. `SnapSource` (pull) and
-/// `SnapConsumer` (push) unify them: the reconstructor's batch mode,
-/// triage and the fleet collector all consume snaps through this pair,
-/// and a new transport only has to produce a source.
+/// One pull interface for the stored ways snaps reach a tool: a directory
+/// of .tbsnap files (tbtool batch modes) and a TBAR archive (daemon
+/// spill/archival). Readers loop over `SnapSource::next`/`nextImage`, so
+/// the directory and archive cases differ only in which source is
+/// constructed. Live network pushes go straight to
+/// CollectorService::push.
 ///
 /// Header-only by design: tb_support gains no link dependencies; a TU
 /// that instantiates ArchiveSnapSource links tb_distributed exactly as
 /// it did when calling SnapArchive directly.
-///
-/// Versioning follows SnapSink's pattern: implementations report the
-/// interface revision they were compiled against, so a future revision
-/// can detect old consumers and degrade instead of miscalling them.
-/// Revision history: 1 = initial (next/consume with provenance labels).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,54 +26,20 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 namespace traceback {
 
-/// Current SnapSource/SnapConsumer interface revision.
-constexpr uint32_t SnapSourceVersion = 1;
-
-/// Push side: anything snaps can be fed into (a triage pass, the
-/// collector service, a reconstruction batch).
-class SnapConsumer {
-public:
-  virtual ~SnapConsumer() = default;
-
-  /// The interface revision this consumer implements.
-  virtual uint32_t consumerVersion() const { return SnapSourceVersion; }
-
-  /// Consumes one snap. \p Label is provenance — the file path, the
-  /// archive path plus entry index, or the pushing machine — for error
-  /// reports and dedup bookkeeping. Returns false to stop the feed.
-  virtual bool consume(const SnapFile &Snap, const std::string &Label) = 0;
-
-  /// Raw-image variant for consumers that want the serialized bytes
-  /// (the collector hashes and stores them verbatim). The default
-  /// deserializes and forwards; malformed images are skipped without
-  /// stopping the feed.
-  virtual bool consumeImage(const std::vector<uint8_t> &Image,
-                            const std::string &Label) {
-    SnapFile S;
-    if (!SnapFile::deserialize(Image, S))
-      return true;
-    return consume(S, Label);
-  }
-};
-
-/// Pull side: a stream of snaps from somewhere.
+/// A stream of snaps from somewhere.
 class SnapSource {
 public:
   virtual ~SnapSource() = default;
 
-  /// The interface revision this source implements.
-  virtual uint32_t sourceVersion() const { return SnapSourceVersion; }
-
-  /// Produces the next snap's serialized image. Returns false when the
-  /// source is exhausted. Sources that hold snaps in object form
-  /// serialize on demand.
+  /// Produces the next snap's serialized image. \p Label is provenance —
+  /// the file path, or the archive path plus entry index. Returns false
+  /// when the source is exhausted.
   virtual bool nextImage(std::vector<uint8_t> &Image, std::string &Label) = 0;
 
   /// Produces the next snap in object form. The default deserializes
@@ -91,20 +50,6 @@ public:
       if (SnapFile::deserialize(Image, Out))
         return true;
     return false;
-  }
-
-  /// Drains this source into \p C (image form, so store-type consumers
-  /// see the original bytes). Returns how many snaps were delivered.
-  size_t feed(SnapConsumer &C) {
-    std::vector<uint8_t> Image;
-    std::string Label;
-    size_t N = 0;
-    while (nextImage(Image, Label)) {
-      ++N;
-      if (!C.consumeImage(Image, Label))
-        break;
-    }
-    return N;
   }
 };
 
@@ -123,7 +68,6 @@ public:
     std::sort(Paths.begin(), Paths.end());
   }
 
-  size_t fileCount() const { return Paths.size(); }
   /// The sorted file list — for consumers that schedule by path (the
   /// parallel batch reconstructor) rather than stream in order.
   const std::vector<std::string> &paths() const { return Paths; }
@@ -161,21 +105,23 @@ private:
   size_t Pos = 0;
 };
 
-/// The entries of one TBAR archive, extracted one at a time.
+/// The intact entries of one TBAR archive. The constructor lists the
+/// archive once; each image is then one seek and one bounded read at its
+/// recorded frame offset, so a full pass reads the file twice, never once
+/// per entry.
 class ArchiveSnapSource : public SnapSource {
 public:
   explicit ArchiveSnapSource(const std::string &Path) : Path(Path) {
-    std::vector<SnapArchiveEntry> Entries;
-    if (SnapArchive::list(Path, Entries))
-      Count = Entries.size();
+    SnapArchive::list(Path, Entries);
   }
 
-  size_t entryCount() const { return Count; }
+  size_t entryCount() const { return Entries.size(); }
 
   bool nextImage(std::vector<uint8_t> &Image, std::string &Label) override {
-    while (Pos < Count) {
+    while (Pos < Entries.size()) {
       size_t I = Pos++;
-      if (SnapArchive::extract(Path, I, Image)) {
+      if (SnapArchive::readImageAt(Path, Entries[I].Offset,
+                                   Entries[I].ImageBytes, Image)) {
         Label = Path + "#" + std::to_string(I);
         return true;
       }
@@ -185,72 +131,9 @@ public:
 
 private:
   std::string Path;
-  size_t Count = 0;
+  std::vector<SnapArchiveEntry> Entries;
   size_t Pos = 0;
 };
-
-/// Push-fed FIFO source: the network ingest adapter. A transport handler
-/// pushes arriving images (with the source machine as label); the
-/// consumer side drains them in arrival order.
-class QueueSnapSource : public SnapSource {
-public:
-  void push(std::vector<uint8_t> Image, std::string Label) {
-    Q.push_back({std::move(Image), std::move(Label)});
-  }
-  void pushSnap(const SnapFile &Snap, std::string Label) {
-    push(Snap.serialize(), std::move(Label));
-  }
-
-  size_t pending() const { return Q.size(); }
-
-  bool nextImage(std::vector<uint8_t> &Image, std::string &Label) override {
-    if (Q.empty())
-      return false;
-    Image = std::move(Q.front().Image);
-    Label = std::move(Q.front().Label);
-    Q.pop_front();
-    return true;
-  }
-
-private:
-  struct Item {
-    std::vector<uint8_t> Image;
-    std::string Label;
-  };
-  std::deque<Item> Q;
-};
-
-// --- Deprecated pre-SnapSource entry points ---------------------------------
-//
-// The read-all helpers the per-tool scan loops grew up on. Thin aliases
-// kept for out-of-tree callers; in-tree code consumes through
-// SnapSource::feed so new transports only implement nextImage.
-
-/// Lists a directory's .tbsnap files, sorted.
-[[deprecated("iterate with DirectorySnapSource instead")]] inline std::vector<
-    std::string>
-listSnapDirectory(const std::string &Dir) {
-  DirectorySnapSource S(Dir);
-  std::vector<std::string> Out;
-  std::vector<uint8_t> Image;
-  std::string Label;
-  while (S.nextImage(Image, Label))
-    Out.push_back(Label);
-  return Out;
-}
-
-/// Loads every parsable snap of a TBAR archive into memory at once.
-[[deprecated("iterate with ArchiveSnapSource instead")]] inline std::vector<
-    SnapFile>
-loadArchiveSnaps(const std::string &Path) {
-  ArchiveSnapSource S(Path);
-  std::vector<SnapFile> Out;
-  SnapFile Snap;
-  std::string Label;
-  while (S.next(Snap, Label))
-    Out.push_back(std::move(Snap));
-  return Out;
-}
 
 } // namespace traceback
 

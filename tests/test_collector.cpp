@@ -929,8 +929,9 @@ TEST(PagedStoreTest, PageCacheBoundsResidentBytesAndCounts) {
 //===----------------------------------------------------------------------===//
 
 TEST(SnapSourceTest, DirectoryArchiveAndQueueFeedIdentically) {
-  // The same three snaps through all three source shapes must produce
-  // stores with identical live content.
+  // The same three snaps read from a directory, read from an archive, and
+  // pushed straight into the collector's ingest queue (the transport's
+  // way in) must produce stores with identical live content.
   std::vector<SnapFile> Snaps;
   for (int I = 0; I < 3; ++I)
     Snaps.push_back(makeSnap("alpha", "app", 10 + I, 100 + I * 10,
@@ -948,17 +949,21 @@ TEST(SnapSourceTest, DirectoryArchiveAndQueueFeedIdentically) {
     for (const SnapFile &S : Snaps)
       ASSERT_TRUE(W.append(S.serialize()));
   }
-  QueueSnapSource Queue;
+
+  using Images = std::vector<std::vector<uint8_t>>;
+  auto ImagesOf = [](SnapSource &&Src) {
+    Images Out;
+    std::vector<uint8_t> Image;
+    std::string Label;
+    while (Src.nextImage(Image, Label))
+      Out.push_back(Image);
+    return Out;
+  };
+  Images Pushed;
   for (const SnapFile &S : Snaps)
-    Queue.pushSnap(S, "pushed");
+    Pushed.push_back(S.serialize());
 
-  DirectorySnapSource DirSrc(SnapDir);
-  ArchiveSnapSource ArcSrc(ArchivePath);
-  EXPECT_EQ(DirSrc.fileCount(), 3u);
-  EXPECT_EQ(ArcSrc.entryCount(), 3u);
-  EXPECT_EQ(Queue.pending(), 3u);
-
-  auto StoreFrom = [&](SnapSource &Src, const std::string &Tag,
+  auto StoreFrom = [&](const Images &In, const std::string &Tag,
                        std::multiset<std::pair<uint64_t, uint64_t>> &Out) {
     std::string Dir = tempStoreDir("src-store-" + Tag);
     SnapStoreOptions O;
@@ -966,7 +971,9 @@ TEST(SnapSourceTest, DirectoryArchiveAndQueueFeedIdentically) {
     SnapStore St;
     ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
     CollectorService Svc(St);
-    EXPECT_EQ(Src.feed(Svc), 3u);
+    for (const std::vector<uint8_t> &Image : In)
+      Svc.push(Image, /*SrcMachineId=*/0);
+    EXPECT_EQ(Svc.pending(), 3u) << Tag;
     Svc.drain();
     EXPECT_EQ(Svc.errors(), 0u);
     SnapStore::Cursor Cur = St.scan(SnapQuery());
@@ -974,9 +981,9 @@ TEST(SnapSourceTest, DirectoryArchiveAndQueueFeedIdentically) {
       Out.insert({E->PayloadHash, E->Fingerprint});
   };
   std::multiset<std::pair<uint64_t, uint64_t>> FromDir, FromArc, FromQueue;
-  StoreFrom(DirSrc, "dir", FromDir);
-  StoreFrom(ArcSrc, "arc", FromArc);
-  StoreFrom(Queue, "queue", FromQueue);
+  StoreFrom(ImagesOf(DirectorySnapSource(SnapDir)), "dir", FromDir);
+  StoreFrom(ImagesOf(ArchiveSnapSource(ArchivePath)), "arc", FromArc);
+  StoreFrom(Pushed, "queue", FromQueue);
   EXPECT_EQ(FromDir.size(), 3u);
   EXPECT_EQ(FromDir, FromArc);
   EXPECT_EQ(FromDir, FromQueue);

@@ -87,7 +87,7 @@ TEST(DistributedTest, SyncRecordsFormCausalChain) {
   // The client's API snap and the server snap (taken via its runtime).
   ASSERT_FALSE(T.D.snaps().empty());
   TracebackRuntime *SrvRT = T.D.runtimeFor(*T.Server, Technology::Native);
-  SnapFile SrvSnap = SrvRT->takeSnap(SnapReason::External, 0);
+  SnapFile SrvSnap = *SrvRT->takeSnap(SnapReason::External, 0);
   const SnapFile *CliSnap = nullptr;
   for (const SnapFile &S : T.D.snaps())
     if (S.ProcessName == "client")
@@ -127,7 +127,7 @@ TEST(DistributedTest, StitcherFusesLogicalThread) {
   T.deployAll(OneShotClient, EchoServer);
   T.run();
   TracebackRuntime *SrvRT = T.D.runtimeFor(*T.Server, Technology::Native);
-  SnapFile SrvSnap = SrvRT->takeSnap(SnapReason::External, 0);
+  SnapFile SrvSnap = *SrvRT->takeSnap(SnapReason::External, 0);
   ReconstructedTrace CT, ST;
   for (const SnapFile &S : T.D.snaps())
     if (S.ProcessName == "client")
@@ -162,7 +162,7 @@ TEST(DistributedTest, ClockSkewEstimatedFromSyncs) {
   T.deployAll(OneShotClient, EchoServer);
   T.run();
   TracebackRuntime *SrvRT = T.D.runtimeFor(*T.Server, Technology::Native);
-  SnapFile SrvSnap = SrvRT->takeSnap(SnapReason::External, 0);
+  SnapFile SrvSnap = *SrvRT->takeSnap(SnapReason::External, 0);
   ReconstructedTrace CT, ST;
   for (const SnapFile &S : T.D.snaps())
     if (S.ProcessName == "client")
@@ -214,7 +214,7 @@ fn main() export {
   TracebackRuntime *NativeRT = S.D.runtimeFor(*S.P, Technology::Native);
   TracebackRuntime *ManagedRT = S.D.runtimeFor(*S.P, Technology::Managed);
   ASSERT_NE(NativeRT, ManagedRT);
-  SnapFile NativeSnap = NativeRT->takeSnap(SnapReason::External, 0);
+  SnapFile NativeSnap = *NativeRT->takeSnap(SnapReason::External, 0);
   const SnapFile *ManagedSnap = nullptr;
   for (const SnapFile &Snap : S.D.snaps())
     if (Snap.Tech == Technology::Managed)
@@ -420,7 +420,7 @@ TEST(GoldenStitchTest, StitchedRenderMatchesFixture) {
   T.run();
   ASSERT_EQ(T.Client->Output, "0\n40\n");
   TracebackRuntime *SrvRT = T.D.runtimeFor(*T.Server, Technology::Native);
-  SnapFile SrvSnap = SrvRT->takeSnap(SnapReason::External, 0);
+  SnapFile SrvSnap = *SrvRT->takeSnap(SnapReason::External, 0);
   ReconstructedTrace CT, ST;
   for (const SnapFile &S : T.D.snaps())
     if (S.ProcessName == "client")

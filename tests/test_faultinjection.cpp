@@ -479,7 +479,7 @@ fn main() export {
 
   std::vector<std::pair<uint64_t, SyncKind>> serverSyncs() {
     TracebackRuntime *RT = D.runtimeFor(*Server, Technology::Native);
-    SnapFile S = RT->takeSnap(SnapReason::External, 0);
+    SnapFile S = *RT->takeSnap(SnapReason::External, 0);
     ReconstructedTrace T = D.reconstruct(S);
     std::vector<std::pair<uint64_t, SyncKind>> Out;
     for (const ThreadTrace &Th : T.Threads)
@@ -610,7 +610,7 @@ TEST(DagRebaseTest, SnapWhileUnloadedThenReloadWithDifferentBase) {
   ASSERT_TRUE(S.P->unloadModule("moda"));
   TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
   ASSERT_NE(RT, nullptr);
-  SnapFile WhileUnloaded = RT->takeSnap(SnapReason::External, 0);
+  SnapFile WhileUnloaded = *RT->takeSnap(SnapReason::External, 0);
   bool HasUnloadedModA = false;
   for (const SnapModuleInfo &M : WhileUnloaded.Modules)
     if (M.Name == "moda" && M.Unloaded && M.DagIdBase == RebasedBase)
@@ -644,7 +644,7 @@ TEST(DagRebaseTest, SnapWhileUnloadedThenReloadWithDifferentBase) {
   // The pre-unload records in the buffer still carry the OLD rebased ids.
   // A snap taken now lists both generations of moda; whichever base the
   // reload landed on, those stale records must keep attributing.
-  SnapFile After = RT->takeSnap(SnapReason::External, 0);
+  SnapFile After = *RT->takeSnap(SnapReason::External, 0);
   ReconstructedTrace T2 = S.D.reconstruct(After);
   bool SawA2 = false;
   for (const ThreadTrace &Th : T2.Threads)

@@ -378,61 +378,3 @@ TEST(RuntimeTelemetryTest, SnapEmbedsNonzeroRuntimeCounters) {
   EXPECT_GE(After.Counters.at("reconstruct.snaps"), 1u);
   EXPECT_GT(After.Counters.at("reconstruct.records"), 0u);
 }
-
-// ----------------------------------------------------------------------------
-// Versioned SnapSink contract.
-// ----------------------------------------------------------------------------
-
-namespace {
-
-/// A pre-extension consumer: overrides only onSnap, knows nothing of
-/// telemetry. Must keep compiling and receiving snaps untouched.
-struct V1Sink : SnapSink {
-  void onSnap(const SnapFile &Snap) override { Snaps.push_back(Snap); }
-  std::vector<SnapFile> Snaps;
-};
-
-} // namespace
-
-TEST(SnapSinkVersionTest, DefaultVersionIsOneAndTelemetryIsNoop) {
-  V1Sink Sink;
-  EXPECT_EQ(Sink.consumerVersion(), 1u);
-  EXPECT_LT(Sink.consumerVersion(), SnapSink::Versioned);
-  // The base-class default must be callable and do nothing.
-  static_cast<SnapSink &>(Sink).onTelemetry(7, sampleSnapshot());
-  EXPECT_TRUE(Sink.Snaps.empty());
-}
-
-TEST(SnapSinkVersionTest, CollectingSinkReceivesTelemetry) {
-  CollectingSnapSink Sink;
-  EXPECT_GE(Sink.consumerVersion(), SnapSink::Versioned);
-  MetricsSnapshot S = sampleSnapshot();
-  Sink.onTelemetry(99, S);
-  ASSERT_EQ(Sink.Telemetry.size(), 1u);
-  EXPECT_EQ(Sink.Telemetry[0].first, 99u);
-  EXPECT_EQ(Sink.Telemetry[0].second, S);
-}
-
-// ----------------------------------------------------------------------------
-// ReconstructOptions regroup.
-// ----------------------------------------------------------------------------
-
-TEST(ReconstructOptionsTest, NestedAndLegacySpellingsAgree) {
-  ReconstructOptions A;
-  EXPECT_FALSE(A.legacyUncached());
-  A.Cache.LegacyUncached = true;
-  EXPECT_TRUE(A.legacyUncached());
-
-  // The deprecated flat alias still works for one release.
-  ReconstructOptions B;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  B.LegacyUncached = true;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  EXPECT_TRUE(B.legacyUncached());
-  EXPECT_FALSE(B.Cache.LegacyUncached);
-}

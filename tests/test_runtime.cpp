@@ -78,7 +78,7 @@ fn main() export {
   S.P->start("main");
   S.D.world().run();
   EXPECT_EQ(RT->stats().BufferWraps, 0u);
-  SnapFile Snap = RT->takeSnap(SnapReason::External, 0);
+  SnapFile Snap = *RT->takeSnap(SnapReason::External, 0);
   ReconstructedTrace T = S.D.reconstruct(Snap);
   EXPECT_TRUE(T.Threads.empty()) << "no instrumented code ran";
 }

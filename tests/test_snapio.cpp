@@ -13,16 +13,23 @@
 
 #include "TestHelpers.h"
 
+#include "core/FileIO.h"
 #include "distributed/SnapArchive.h"
 #include "distributed/Wire.h"
 #include "reconstruct/SynthWorkload.h"
 #include "runtime/TraceRecord.h"
+#include "support/ByteStream.h"
 #include "support/SnapCodec.h"
+#include "support/SnapSource.h"
 #include "vm/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <set>
 
 using namespace traceback;
 using namespace traceback::testing_helpers;
@@ -58,6 +65,28 @@ SnapFile synthSnap(uint64_t Seed, bool IncludeCorrupt = false) {
   O.RecordsPerThread = 400;
   O.IncludeCorrupt = IncludeCorrupt;
   return makeSynthWorkload(Seed, O).Snap;
+}
+
+/// The checked-in v2 fixture, byte for byte. Nothing writes v2 or v3,
+/// so this file is what pins the v2 reader.
+std::vector<uint8_t> goldenV2Image() {
+  std::vector<uint8_t> Bytes;
+  EXPECT_TRUE(readFileBytes(
+      std::string(TB_TESTS_DIR) + "/golden/golden.tbsnap", Bytes));
+  return Bytes;
+}
+
+/// A v3 image built from a v2 one: v3 is the v2 layout plus one trailing
+/// TELEMETRY word stream (varint word count, then the words).
+std::vector<uint8_t> legacyV3Image(const std::vector<uint8_t> &V2,
+                                   const std::vector<uint32_t> &Telemetry) {
+  std::vector<uint8_t> Out = V2;
+  Out[4] = 3; // The u32 version word follows the magic.
+  ByteWriter W(Out);
+  W.writeVarU64(Telemetry.size());
+  for (uint32_t Word : Telemetry)
+    W.writeU32(Word);
+  return Out;
 }
 
 } // namespace
@@ -273,19 +302,20 @@ TEST(SnapFormatTest, V4RoundTripSweep100Seeds) {
 }
 
 TEST(SnapFormatTest, LegacyV2AndV3ImagesStillDeserialize) {
-  SnapFile S = synthSnap(7);
-  for (uint32_t Version : {2u, 3u}) {
-    std::vector<uint8_t> Wire = S.serializeVersion(Version);
-    SnapFile Back;
-    ASSERT_TRUE(SnapFile::deserialize(Wire, Back)) << "v" << Version;
-    EXPECT_EQ(Back.Pid, S.Pid);
-    EXPECT_EQ(Back.ProcessName, S.ProcessName);
-    ASSERT_EQ(Back.Buffers.size(), S.Buffers.size());
-    for (size_t I = 0; I < S.Buffers.size(); ++I)
-      EXPECT_EQ(Back.Buffers[I].Raw, S.Buffers[I].Raw) << "v" << Version;
-    EXPECT_EQ(Back.Threads.size(), S.Threads.size());
-    EXPECT_EQ(Back.Modules.size(), S.Modules.size());
-  }
+  std::vector<uint8_t> V2 = goldenV2Image();
+  std::vector<uint32_t> Telemetry = encodeTelemetryRecords("{}");
+  SnapFile S, Back;
+  ASSERT_TRUE(SnapFile::deserialize(V2, S));
+  ASSERT_TRUE(SnapFile::deserialize(legacyV3Image(V2, Telemetry), Back));
+  EXPECT_TRUE(S.Telemetry.empty());
+  EXPECT_EQ(Back.Telemetry, Telemetry);
+  EXPECT_EQ(Back.Pid, S.Pid);
+  EXPECT_EQ(Back.ProcessName, S.ProcessName);
+  ASSERT_EQ(Back.Buffers.size(), S.Buffers.size());
+  for (size_t I = 0; I < S.Buffers.size(); ++I)
+    EXPECT_EQ(Back.Buffers[I].Raw, S.Buffers[I].Raw) << "buffer " << I;
+  EXPECT_EQ(Back.Threads.size(), S.Threads.size());
+  EXPECT_EQ(Back.Modules.size(), S.Modules.size());
 }
 
 TEST(SnapFormatTest, EncodeCacheFollowsRawMutations) {
@@ -329,9 +359,11 @@ TEST(SnapFormatTest, HeaderOnlyParseReadsScalarsWithoutPayload) {
   EXPECT_EQ(Header.ProcessName, S.ProcessName);
   EXPECT_TRUE(Header.Buffers.empty());
   // Legacy images have no section index; the header parse still works.
-  SnapFile HeaderV2;
-  ASSERT_TRUE(SnapFile::deserializeHeader(S.serializeVersion(2), HeaderV2));
-  EXPECT_EQ(HeaderV2.Pid, S.Pid);
+  std::vector<uint8_t> V2 = goldenV2Image();
+  SnapFile Full, HeaderV2;
+  ASSERT_TRUE(SnapFile::deserialize(V2, Full));
+  ASSERT_TRUE(SnapFile::deserializeHeader(V2, HeaderV2));
+  EXPECT_EQ(HeaderV2.Pid, Full.Pid);
 }
 
 TEST(SnapFormatTest, SectionStatsShowCompressedBuffers) {
@@ -355,9 +387,12 @@ TEST(SnapFormatTest, SectionStatsShowCompressedBuffers) {
 // ----------------------------------------------------------------------------
 
 TEST(SnapFuzzTest, CorruptedImagesOfEveryVersionNeverCrash) {
-  SnapFile S = synthSnap(23);
-  for (uint32_t Version : {2u, 3u, 4u}) {
-    std::vector<uint8_t> Pristine = S.serializeVersion(Version);
+  std::vector<uint8_t> V2 = goldenV2Image();
+  std::map<uint32_t, std::vector<uint8_t>> Corpus = {
+      {2u, V2},
+      {3u, legacyV3Image(V2, encodeTelemetryRecords("{}"))},
+      {4u, synthSnap(23).serialize()}};
+  for (const auto &[Version, Pristine] : Corpus) {
     Rng Seeds(testSeed() ^ (0xF0'00 + Version));
     int Accepted = 0;
     for (int Run = 0; Run < 120; ++Run) {
@@ -575,6 +610,38 @@ TEST(SnapArchiveTest, TornTailIsToleratedGarbageIsNot) {
   EXPECT_FALSE(SnapArchive::list(G.Path, Entries));
 }
 
+TEST(SnapArchiveTest, SourceYieldsIntactEntriesOfATornArchive) {
+  // ArchiveSnapSource reads each image at the frame offset its one list
+  // pass found (the offset SnapArchiveWriter::tell() reported before the
+  // append) and must agree with extract() byte for byte.
+  TempFile F("test_snapio_source.tbar");
+  std::vector<uint64_t> Frames;
+  {
+    SnapArchiveWriter W;
+    ASSERT_TRUE(W.open(F.Path));
+    for (uint64_t Seed : {43, 47, 53}) {
+      Frames.push_back(W.tell());
+      ASSERT_TRUE(W.append(synthSnap(Seed).serialize()));
+    }
+    ASSERT_TRUE(W.append(std::vector<uint8_t>(64, 0x5A)));
+  }
+  // A crashed daemon: the final frame claims one byte more than follows.
+  std::filesystem::resize_file(F.Path, std::filesystem::file_size(F.Path) - 1);
+  std::vector<SnapArchiveEntry> Entries;
+  ASSERT_TRUE(SnapArchive::list(F.Path, Entries));
+  ArchiveSnapSource Src(F.Path);
+  std::vector<uint8_t> Image, Expected;
+  std::string Label;
+  size_t N = 0;
+  for (; Src.nextImage(Image, Label); ++N) {
+    ASSERT_LT(N, Frames.size()) << "only intact entries are yielded";
+    EXPECT_EQ(Entries[N].Offset, Frames[N]);
+    ASSERT_TRUE(SnapArchive::extract(F.Path, N, Expected));
+    EXPECT_EQ(Image, Expected) << Label;
+  }
+  EXPECT_EQ(N, Frames.size());
+}
+
 // ----------------------------------------------------------------------------
 // Daemon ingestion: async queues, back-pressure, the archival record.
 // ----------------------------------------------------------------------------
@@ -754,27 +821,46 @@ TEST(DaemonIngestTest, ArchiveRecordsEveryIngestedSnap) {
   EXPECT_EQ(Entries[1].Header.Pid, Rig.Peer->Pid);
 }
 
-TEST(DaemonIngestTest, ArchiveFormatVersionDownlevelsForOldTooling) {
-  TempFile Archive("test_snapio_archive_v3.tbar");
-  GroupRig Rig;
-  ServiceDaemon *Daemon = Rig.D.daemonFor(*Rig.M);
-  ServiceDaemon::IngestOptions O;
-  O.Async = true;
-  O.ArchivePath = Archive.Path;
-  O.ArchiveFormatVersion = 3;
-  Daemon->configureIngest(O);
+namespace {
 
-  Rig.run();
-  EXPECT_EQ(Daemon->drainIngest(), 2u);
-  std::vector<SnapArchiveEntry> Entries;
-  ASSERT_TRUE(SnapArchive::list(Archive.Path, Entries));
-  ASSERT_EQ(Entries.size(), 2u);
-  for (const SnapArchiveEntry &E : Entries)
-    EXPECT_EQ(E.FormatVersion, 3u);
-  // Downlevel entries still carry the full trace payload.
-  std::vector<uint8_t> Image;
-  ASSERT_TRUE(SnapArchive::extract(Archive.Path, 0, Image));
-  SnapFile S;
-  ASSERT_TRUE(SnapFile::deserialize(Image, S));
-  EXPECT_FALSE(S.Buffers.empty());
+/// A downstream that keeps the shared handles it is given.
+struct SharedCollectingSink : SnapSink {
+  void onSnap(const std::shared_ptr<const SnapFile> &Snap) override {
+    Snaps.push_back(Snap);
+  }
+  std::vector<std::shared_ptr<const SnapFile>> Snaps;
+};
+
+} // namespace
+
+TEST(DaemonIngestTest, TakeSnapPointerReachesDownstreamUncopied) {
+  // The instance takeSnap returns is the one downstream receives first,
+  // and each group member's snap arrives exactly once, inline or drained.
+  for (bool Async : {false, true}) {
+    World W;
+    MetricsRegistry Reg;
+    Machine *M = W.createMachine("host0");
+    SharedCollectingSink Down;
+    ServiceDaemon Daemon(*M, &Down, &Reg);
+    ServiceDaemon::IngestOptions O;
+    O.Async = Async;
+    Daemon.configureIngest(O);
+    std::vector<std::unique_ptr<TracebackRuntime>> Runtimes;
+    for (int I = 0; I < 3; ++I) {
+      Process *P = M->createProcess("member" + std::to_string(I));
+      Runtimes.push_back(std::make_unique<TracebackRuntime>(
+          *P, Technology::Native, RtPolicy(), &Daemon, nullptr, &Reg));
+      P->attachRuntime(Runtimes.back().get());
+      Daemon.watch(*P, *Runtimes.back(), "group");
+    }
+    std::shared_ptr<const SnapFile> Taken =
+        Runtimes[0]->takeSnap(SnapReason::External, 0);
+    EXPECT_EQ(Daemon.drainIngest(), Async ? 3u : 0u);
+    ASSERT_EQ(Down.Snaps.size(), 3u) << "async=" << Async;
+    EXPECT_EQ(Down.Snaps[0].get(), Taken.get()) << "async=" << Async;
+    std::set<uint64_t> Pids;
+    for (const auto &S : Down.Snaps)
+      Pids.insert(S->Pid);
+    EXPECT_EQ(Pids.size(), 3u) << "async=" << Async;
+  }
 }

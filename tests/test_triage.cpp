@@ -526,7 +526,6 @@ TEST(TriageIntegrationTest, SignatureStableAcrossJobsAndCache) {
     for (bool Cache : {true, false}) {
       ReconstructOptions Opts;
       Opts.Cache.Enabled = Cache;
-      Opts.Parallel.Jobs = Jobs;
       Reconstructor R(S.D.maps(), Opts);
       ThreadPool Pool(static_cast<unsigned>(Jobs));
       ReconstructedTrace Trace =
@@ -841,7 +840,6 @@ TEST(TriageSweepTest, LabeledPrecisionRecallSweep) {
       Stores[Sc].add(M);
   ReconstructOptions Opts;
   Opts.Cache.Enabled = false;
-  Opts.Parallel.Jobs = 4;
   ThreadPool Pool(4);
   SignatureClusterer Clusterer2;
   for (const Labeled &L : Collected) {

@@ -495,10 +495,9 @@ int cmdReconstructBatch(const std::string &Dir, int Jobs, bool NoCache,
 
   ReconstructOptions Opts;
   Opts.Cache.Enabled = !NoCache;
-  Opts.Parallel.Jobs = Jobs;
   Reconstructor R(Store, Opts);
 
-  unsigned Workers = ThreadPool::resolveJobs(Opts.Parallel.Jobs);
+  unsigned Workers = ThreadPool::resolveJobs(Jobs);
   ThreadPool Pool(Workers);
   // One fan-out level per pool: across snaps when there are several,
   // within the snap when there is just one.
@@ -598,7 +597,6 @@ int cmdReconstruct(ArgList A) {
     return 1;
   ReconstructOptions Opts;
   Opts.Cache.Enabled = !NoCache;
-  Opts.Parallel.Jobs = Jobs;
   Reconstructor R(Store, Opts);
   ReconstructedTrace Trace;
   if (Jobs > 1) {
@@ -665,9 +663,7 @@ int cmdMetrics(ArgList A) {
 
   // Reconstruction cost, measured into a registry local to this command.
   MetricsRegistry Local;
-  ReconstructOptions Opts;
-  Opts.Parallel.Jobs = Jobs;
-  Reconstructor R(Store, Opts, &Local);
+  Reconstructor R(Store, &Local);
   if (Jobs > 1) {
     ThreadPool Pool(ThreadPool::resolveJobs(Jobs));
     (void)R.reconstruct(Snap, &Pool);
@@ -1060,9 +1056,7 @@ int cmdTriage(ArgList A) {
   // deterministic for a given snap set.
   std::vector<FaultSignature> Sigs(Snaps.size());
   if (Store.size()) {
-    ReconstructOptions Opts;
-    Opts.Parallel.Jobs = Jobs;
-    Reconstructor R(Store, Opts);
+    Reconstructor R(Store);
     ThreadPool Pool(ThreadPool::resolveJobs(Jobs));
     bool AcrossSnaps = Snaps.size() > 1;
     parallelForIndex(AcrossSnaps ? &Pool : nullptr, Snaps.size(),
