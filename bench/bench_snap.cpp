@@ -13,6 +13,12 @@
 //                 size. Target: >= 4x size reduction on a
 //                 deployment-shaped workload.
 //
+//   encode        snapEncodeTo throughput on one 64 KiB ring, normalized
+//                 to the raw size: a dense ring (every slot a record) and
+//                 a fleet-shaped one (~200 records, the rest zero, as in
+//                 most group-peer snaps). Serialize above appends the
+//                 streams cached at capture, so it never runs the encoder.
+//
 //   fan-out       wall time from one faulting snap to all N group-member
 //                 snaps delivered downstream and archived, at N = 8, 64
 //                 and 256 processes: sharded async queues drained with
@@ -33,7 +39,10 @@
 #include "distributed/SnapArchive.h"
 #include "instrument/Instrumenter.h"
 #include "reconstruct/SynthWorkload.h"
+#include "runtime/TraceRecord.h"
 #include "support/Metrics.h"
+#include "support/Random.h"
+#include "support/SnapCodec.h"
 #include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
@@ -123,6 +132,60 @@ FormatResult benchFormat(const SnapFile &Snap, int Reps) {
   R.RoundTripIdentical = Decoded.serialize() == V4;
   return R;
 }
+
+/// A 64 KiB ring as the runtime lays one out: four sub-buffers, each
+/// ending in a sentinel, the first \p Records slots holding DAG records
+/// (mostly a hot working set), the rest still zero.
+std::vector<uint8_t> ringImage(uint64_t Seed, size_t Records) {
+  constexpr size_t Words = 16384, SubWords = Words / 4;
+  Rng R(Seed);
+  uint32_t Hot[16];
+  for (uint32_t &H : Hot)
+    H = makeDagRecord(1 + static_cast<uint32_t>(R.below(4000))) |
+        static_cast<uint32_t>(R.below(1u << PathBitCount));
+  std::vector<uint8_t> Ring;
+  size_t Written = 0;
+  for (size_t Slot = 0; Slot < Words; ++Slot) {
+    uint32_t W = InvalidRecord;
+    if (Slot % SubWords == SubWords - 1)
+      W = SentinelRecord;
+    else if (Written++ < Records)
+      W = R.below(10) < 9
+              ? Hot[R.below(16)]
+              : makeDagRecord(1 + static_cast<uint32_t>(R.below(MaxDagId))) |
+                    static_cast<uint32_t>(R.below(1u << PathBitCount));
+    for (int B = 0; B < 4; ++B)
+      Ring.push_back(static_cast<uint8_t>(W >> (B * 8)));
+  }
+  return Ring;
+}
+
+/// snapEncodeTo MB/s over \p Ring (raw-normalized), best of \p Reps
+/// timings of \p Iters encodes each. Aborts unless the stream decodes
+/// back to the ring.
+double encodeMBs(const std::vector<uint8_t> &Ring, int Reps, int Iters) {
+  std::vector<uint8_t> Stream;
+  double Best = 1e100;
+  for (int Rep = 0; Rep < Reps; ++Rep) {
+    double T0 = now();
+    for (int I = 0; I < Iters; ++I) {
+      Stream.clear();
+      snapEncodeTo(Ring.data(), Ring.size(), Stream);
+      benchmark::DoNotOptimize(Stream.data());
+    }
+    Best = std::min(Best, (now() - T0) / Iters);
+  }
+  std::vector<uint8_t> Back;
+  if (!snapDecode(Stream, Back) || Back != Ring) {
+    std::fprintf(stderr, "encode bench: ring did not round-trip\n");
+    std::abort();
+  }
+  return static_cast<double>(Ring.size()) / (1024.0 * 1024.0) / Best;
+}
+
+struct EncodeResult {
+  double DenseMBs = 0, FleetMBs = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Part 2: group-snap fan-out through the daemon.
@@ -266,7 +329,8 @@ struct FanoutRig {
 // ---------------------------------------------------------------------------
 
 void writeJson(const FormatResult &F, const SynthWorkloadOptions &O,
-               const std::vector<FanoutResult> &Fanout, unsigned PoolJobs) {
+               const EncodeResult &E, const std::vector<FanoutResult> &Fanout,
+               unsigned PoolJobs) {
   std::string J = "{\n  \"bench\": \"snap\",\n";
   J += formatv("  \"host_hw_threads\": %u,\n",
                std::thread::hardware_concurrency());
@@ -282,6 +346,9 @@ void writeJson(const FormatResult &F, const SynthWorkloadOptions &O,
       F.V4Bytes ? static_cast<double>(F.RawBytes) / F.V4Bytes : 0.0,
       F.SerializeMBs, F.DeserializeMBs,
       F.RoundTripIdentical ? "true" : "false");
+  J += formatv("  \"encode\": {\"ring_bytes\": 65536, "
+               "\"dense_ring_mb_s\": %.1f, \"fleet_ring_mb_s\": %.1f},\n",
+               E.DenseMBs, E.FleetMBs);
   J += formatv("  \"fanout_pool_jobs\": %u,\n", PoolJobs);
   J += "  \"fanout\": [\n";
   for (size_t I = 0; I < Fanout.size(); ++I) {
@@ -343,6 +410,15 @@ void runSnapBench() {
   if (!F.RoundTripIdentical)
     std::abort();
 
+  EncodeResult E;
+  const int EncodeIters = smokeMode() ? 4 : 200;
+  E.DenseMBs = encodeMBs(ringImage(42, 16384), Reps, EncodeIters);
+  E.FleetMBs = encodeMBs(ringImage(42, 200), Reps, EncodeIters);
+  std::printf("Ring encode, 64 KiB (raw-normalized, best of %d)\n", Reps);
+  printRule();
+  std::printf("dense ring MB/s            %12.1f\n", E.DenseMBs);
+  std::printf("fleet-shaped ring MB/s     %12.1f\n\n", E.FleetMBs);
+
   // Fan-out. The pool size is fixed (not hw_concurrency) so results are
   // comparable across hosts; the JSON records the hw count.
   unsigned PoolJobs = 4;
@@ -373,7 +449,7 @@ void runSnapBench() {
                                  : 0.0);
   std::printf("\n");
 
-  writeJson(F, O, Fanout, PoolJobs);
+  writeJson(F, O, E, Fanout, PoolJobs);
 }
 
 // ---------------------------------------------------------------------------

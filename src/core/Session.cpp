@@ -21,16 +21,19 @@ using namespace traceback;
 /// here, at the terminal sink.
 class Deployment::Collector : public SnapSink {
 public:
-  explicit Collector(std::vector<SnapFile> &Snaps) : Snaps(Snaps) {}
+  explicit Collector(Deployment &D) : D(D) {}
   void onSnap(const std::shared_ptr<const SnapFile> &Snap) override {
-    Snaps.push_back(*Snap);
+    // Images pushed before this snap arrived first: decode them ahead of
+    // it so snaps() stays in arrival order.
+    D.decodePending();
+    D.Snaps.push_back(*Snap);
   }
 
 private:
-  std::vector<SnapFile> &Snaps;
+  Deployment &D;
 };
 
-Deployment::Deployment() : Sink(std::make_unique<Collector>(Snaps)) {
+Deployment::Deployment() : Sink(std::make_unique<Collector>(*this)) {
   // A permissive default policy: snap on everything interesting. Benches
   // override with quieter policies.
   Policy.SnapOnAnyException = true;
@@ -67,12 +70,12 @@ uint64_t Deployment::enableNetworkTransport() {
   CollectorM = W.createMachine("collector", "simos", 0, 1, 1);
   CollectorEP = std::make_unique<TransportEndpoint>(W, CollectorM->Id,
                                                     Metrics);
+  // Pushed images stay encoded until snaps() is read: a consumer that only
+  // stores them (a CollectorService chained onto this handler) never pays
+  // for the decode.
   CollectorEP->Handler = [this](const WireFrame &F) {
-    if (F.Type != FrameType::SnapPush)
-      return;
-    SnapFile S;
-    if (SnapFile::deserialize(F.Payload, S))
-      Snaps.push_back(std::move(S));
+    if (F.Type == FrameType::SnapPush)
+      PendingImages.push_back(F.Payload);
   };
   for (auto &D : Daemons)
     attachEndpoint(*D);
@@ -161,6 +164,25 @@ LoadedModule *Deployment::deploy(Process &P, const Module &Orig,
   // The runtime must exist before loading so the rebase hook fires.
   runtimeFor(P, Orig.Tech);
   return P.loadModule(Instr, Error);
+}
+
+void Deployment::decodePending() const {
+  for (const std::vector<uint8_t> &Image : PendingImages) {
+    SnapFile S;
+    if (SnapFile::deserialize(Image, S))
+      Snaps.push_back(std::move(S));
+  }
+  PendingImages.clear();
+}
+
+const std::vector<SnapFile> &Deployment::snaps() const {
+  decodePending();
+  return Snaps;
+}
+
+std::vector<SnapFile> &Deployment::snaps() {
+  decodePending();
+  return Snaps;
 }
 
 ReconstructedTrace Deployment::reconstruct(const SnapFile &Snap) const {

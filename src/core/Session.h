@@ -104,9 +104,14 @@ public:
   /// immediately when network mode is off.
   bool pumpNetwork(uint64_t MaxCycles = 4000000);
 
-  /// All snaps produced so far, in arrival order.
-  const std::vector<SnapFile> &snaps() const { return Snaps; }
-  std::vector<SnapFile> &snaps() { return Snaps; }
+  /// All snaps produced so far, in arrival order. In network mode the
+  /// collector endpoint keeps each pushed image encoded; the first call
+  /// after new images arrived decodes them (an image that fails to
+  /// deserialize is dropped). A call may therefore write the list:
+  /// concurrent calls must not race, and references into it last only
+  /// until the next snap arrives.
+  const std::vector<SnapFile> &snaps() const;
+  std::vector<SnapFile> &snaps();
 
   ReconstructedTrace reconstruct(const SnapFile &Snap) const;
 
@@ -126,10 +131,16 @@ private:
   class Collector;
 
   void attachEndpoint(ServiceDaemon &D);
+  /// Appends the pushed images not yet decoded to Snaps.
+  void decodePending() const;
 
   World W;
   MapFileStore Maps;
-  std::vector<SnapFile> Snaps;
+  /// Decoded snaps in arrival order, then the images pushed since the last
+  /// decode, still encoded. snaps() moves the images over, so a const
+  /// read writes both.
+  mutable std::vector<SnapFile> Snaps;
+  mutable std::vector<std::vector<uint8_t>> PendingImages;
   std::unique_ptr<Collector> Sink;
   std::vector<std::unique_ptr<TracebackRuntime>> Runtimes;
   std::vector<std::unique_ptr<ServiceDaemon>> Daemons;

@@ -112,10 +112,10 @@ size_t ServiceDaemon::drainIngest() {
   size_t Delivered = 0;
   bool Drained = false;
   // One archive handle for the whole drain: a group snap delivers
-  // hundreds of entries, and per-entry open/close would dominate.
+  // hundreds of entries, and per-entry open/close would dominate. It opens
+  // with the first batch: every transport pump drains, mostly with nothing
+  // queued, and must not touch (or create) the archive then.
   SnapArchiveWriter Writer;
-  if (!Ingest.ArchivePath.empty())
-    Writer.open(Ingest.ArchivePath);
   for (;;) {
     // Take everything queued so far as one batch; delivery below may
     // enqueue GroupPeer snaps, picked up by the next iteration.
@@ -132,6 +132,8 @@ size_t ServiceDaemon::drainIngest() {
     }
     if (Batch.empty())
       break;
+    if (!Drained && !Ingest.ArchivePath.empty())
+      Writer.open(Ingest.ArchivePath);
     Drained = true;
     // Shards drain merged by global arrival number, so delivery order is
     // deterministic no matter how groups hashed across shards.

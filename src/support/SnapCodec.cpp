@@ -8,6 +8,7 @@
 
 #include "runtime/TraceRecord.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace traceback;
@@ -109,16 +110,49 @@ constexpr int64_t unzigzag(uint64_t V) {
   return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
 }
 
-/// Length of the run of words equal to \p W at \p P, comparing eight
-/// bytes at a time: uncommitted buffer regions are megabytes of zeros,
-/// and scanning them word-by-word would dominate encode time.
-size_t runOfWord(const uint8_t *P, size_t MaxWords, uint32_t W) {
+/// Run length at which runOfWord switches to block compares. A power of
+/// two, so extendRun's block sizes stay powers of two.
+constexpr size_t LongRunWords = 16;
+/// Largest block extendRun compares in one memcmp (4 KiB).
+constexpr size_t MaxRunBlockWords = 1024;
+
+/// Finishes a run whose first \p N words (N >= LongRunWords) are equal.
+/// The verified prefix is itself a block of the pattern, so the library
+/// memcmp (vectorized) checks each next block against it: blocks double
+/// up to MaxRunBlockWords while they match, then halve to pin the run's
+/// end. Out of line, so the inlined copies of runOfWord stay small.
+[[gnu::noinline]] size_t extendRun(const uint8_t *P, size_t N,
+                                   size_t MaxWords) {
+  // Invariant: Block <= N, so the reference P[0, Block) is all pattern.
+  size_t Block = N;
+  while (Block <= MaxWords - N && std::memcmp(P + N * 4, P, Block * 4) == 0) {
+    N += Block;
+    Block = std::min(2 * Block, MaxRunBlockWords);
+  }
+  // The run ends within the next Block words (a power of two): take each
+  // smaller power that still matches.
+  for (Block /= 2; Block != 0; Block /= 2)
+    if (Block <= MaxWords - N && std::memcmp(P + N * 4, P, Block * 4) == 0)
+      N += Block;
+  return N;
+}
+
+/// Length of the run of words equal to \p W at \p P. Short runs compare
+/// eight bytes at a time; a run reaching LongRunWords continues in
+/// extendRun, since uncommitted buffer regions are long stretches of zeros
+/// that a per-word scan would spend most of the encode time on. Forced
+/// inline: dense rings call it once per word, GCC stops inlining it once
+/// it can reach extendRun, and the call costs dense rings ~9% of encode
+/// throughput.
+[[gnu::always_inline]] inline size_t runOfWord(const uint8_t *P,
+                                               size_t MaxWords, uint32_t W) {
   uint8_t Pat[8];
   for (int J = 0; J < 4; ++J)
     Pat[J] = Pat[J + 4] = static_cast<uint8_t>(W >> (J * 8));
   size_t N = 0;
   while (N + 2 <= MaxWords && std::memcmp(P + N * 4, Pat, 8) == 0)
-    N += 2;
+    if ((N += 2) == LongRunWords)
+      return extendRun(P, N, MaxWords);
   while (N < MaxWords && std::memcmp(P + N * 4, Pat, 4) == 0)
     ++N;
   return N;

@@ -19,6 +19,7 @@
 #include "reconstruct/SynthWorkload.h"
 #include "runtime/TraceRecord.h"
 #include "support/ByteStream.h"
+#include "support/MD5.h"
 #include "support/SnapCodec.h"
 #include "support/SnapSource.h"
 #include "vm/FaultInjector.h"
@@ -274,6 +275,82 @@ TEST(SnapCodecTest, OversizedRawClaimIsRejected) {
   EXPECT_FALSE(snapEncodedRawSize(Bad.data(), Bad.size(), RawSize));
   std::vector<uint8_t> Back;
   EXPECT_FALSE(snapDecodeTo(Bad.data(), Bad.size(), Back));
+}
+
+namespace {
+
+/// A 64 KiB trace ring as the runtime lays one out: four sub-buffers, each
+/// ending in a sentinel, the first \p Records slots holding DAG records (a
+/// hot working set plus cold ids) and extended-record words, the rest
+/// still zero.
+std::vector<uint8_t> ringImage(Rng &R, size_t Records) {
+  constexpr size_t Words = 16384, SubWords = Words / 4;
+  uint32_t Hot[16];
+  for (uint32_t &H : Hot)
+    H = makeDagRecord(1 + static_cast<uint32_t>(R.below(4000))) |
+        static_cast<uint32_t>(R.below(1u << PathBitCount));
+  std::vector<uint8_t> Ring;
+  size_t Written = 0;
+  for (size_t Slot = 0; Slot < Words; ++Slot) {
+    uint32_t W = InvalidRecord;
+    uint64_t Pick = R.below(100);
+    if (Slot % SubWords == SubWords - 1) {
+      W = SentinelRecord;
+    } else if (Written++ < Records) {
+      if (Pick < 85)
+        W = Hot[R.below(16)];
+      else if (Pick < 95)
+        W = makeDagRecord(1 + static_cast<uint32_t>(R.below(MaxDagId))) |
+            static_cast<uint32_t>(R.below(1u << PathBitCount));
+      else // Extended-record header or continuation word.
+        W = (Pick < 97 ? 0u : 0x40000000u) |
+            (1 + static_cast<uint32_t>(R.below(0x3FFFFFFF)));
+    }
+    pushWord(Ring, W);
+  }
+  return Ring;
+}
+
+} // namespace
+
+TEST(SnapCodecTest, EncodingIsPinned) {
+  // Round trips alone would pass an encoder that framed runs differently,
+  // yet that would change every snap image and defeat store dedup against
+  // snaps already stored. The digest pins the exact bytes over runs of
+  // every length up to 600 words (each 0-3 words past a 1 KiB boundary,
+  // ended by a different word) and over a sparse and a dense ring. The
+  // corpus seed is fixed: the digest must not follow TRACEBACK_TEST_SEED.
+  Rng R(0x9141'ED00'C0DEULL);
+  std::vector<std::vector<uint8_t>> Corpus;
+  auto otherThan = [&R](uint32_t W) {
+    uint32_t V = static_cast<uint32_t>(R.next());
+    return V == W ? ~V : V;
+  };
+  for (uint32_t W : {InvalidRecord, SentinelRecord, 0x2C6A91E5u}) {
+    for (unsigned Len = 0; Len <= 600; ++Len) {
+      std::vector<uint8_t> In;
+      unsigned Lead = 256 + static_cast<unsigned>(R.below(4));
+      for (unsigned I = 0; I < Lead; ++I)
+        pushWord(In, otherThan(W));
+      for (unsigned I = 0; I < Len; ++I)
+        pushWord(In, W);
+      pushWord(In, otherThan(W));
+      Corpus.push_back(std::move(In));
+    }
+  }
+  Corpus.push_back(ringImage(R, /*Records=*/200));
+  Corpus.push_back(ringImage(R, /*Records=*/16384));
+
+  MD5 Hash;
+  std::vector<uint8_t> Stream, Back;
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    Stream.clear();
+    snapEncodeTo(Corpus[I].data(), Corpus[I].size(), Stream);
+    ASSERT_TRUE(snapDecode(Stream, Back)) << "corpus entry " << I;
+    ASSERT_EQ(Back, Corpus[I]) << "corpus entry " << I;
+    Hash.update(Stream.data(), Stream.size());
+  }
+  EXPECT_EQ(Hash.final().toHex(), "135a132c125fdff5405c8b80bc993265");
 }
 
 // ----------------------------------------------------------------------------
@@ -819,6 +896,22 @@ TEST(DaemonIngestTest, ArchiveRecordsEveryIngestedSnap) {
   }
   EXPECT_EQ(Entries[0].Header.Pid, Rig.Snapper->Pid);
   EXPECT_EQ(Entries[1].Header.Pid, Rig.Peer->Pid);
+}
+
+TEST(DaemonIngestTest, IdlePumpLeavesNoArchive) {
+  // Every transport pump drains the ingest queue. With nothing queued the
+  // drain must not open the archive, or an idle daemon creates one.
+  TempFile Archive("test_snapio_idle.tbar");
+  Deployment D;
+  Machine *M = D.addMachine("idle");
+  D.enableNetworkTransport();
+  ServiceDaemon::IngestOptions O;
+  O.Async = true;
+  O.ArchivePath = Archive.Path;
+  D.daemonFor(*M)->configureIngest(O);
+  ASSERT_TRUE(D.pumpNetwork());
+  EXPECT_EQ(D.daemonFor(*M)->drainIngest(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(Archive.Path));
 }
 
 namespace {

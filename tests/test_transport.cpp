@@ -12,6 +12,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+#include "collector/CollectorService.h"
+#include "collector/SnapStore.h"
 #include "distributed/Transport.h"
 #include "distributed/Wire.h"
 #include "reconstruct/Stitch.h"
@@ -19,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <tuple>
+#include <unistd.h>
 
 using namespace traceback;
 using namespace traceback::testing_helpers;
@@ -556,6 +560,101 @@ TEST(NetDaemonTest, PartitionDegradesGroupSnapToPartialSnap) {
   ASSERT_FALSE(Warnings.empty());
   EXPECT_NE(Warnings.front().find("partial group snap"), std::string::npos);
   EXPECT_NE(Warnings.front().find("beta"), std::string::npos);
+}
+
+TEST(NetDaemonTest, SnapsListsWhatTheCollectorIndexed) {
+  // The collector endpoint keeps pushed images encoded and snaps() decodes
+  // them on first read; a CollectorService chained onto the same endpoint
+  // stores those images. Both must see the same snaps in the same order.
+  Module CM = compileOrDie(NetSnapClient, "climod", Technology::Native,
+                           "client.ml");
+  Module SM = compileOrDie(NetEchoServer, "srvmod", Technology::Native,
+                           "server.ml");
+  NetTwoMachines T;
+  std::string Dir = (std::filesystem::temp_directory_path() /
+                     ("tb-transport-snaps-" + std::to_string(::getpid())))
+                        .string();
+  std::filesystem::remove_all(Dir);
+  SnapStore Store;
+  SnapStoreOptions SO;
+  SO.Metrics = &T.Reg;
+  std::string Error;
+  ASSERT_TRUE(Store.open(Dir, SO, Error)) << Error;
+  CollectorOptions CO;
+  CO.Metrics = &T.Reg;
+  CollectorService Svc(Store, CO);
+  Svc.attachTransport(*T.D.collectorEndpoint());
+  T.deployAndRun(CM, SM);
+  ASSERT_TRUE(T.D.pumpNetwork());
+  Svc.drain();
+  Svc.detachTransport();
+  ASSERT_EQ(Svc.errors(), 0u) << Svc.lastError();
+
+  std::vector<std::vector<uint8_t>> Stored;
+  SnapStore::Cursor Cur = Store.scan(SnapQuery());
+  while (const SnapStoreEntry *E = Cur.next()) {
+    EXPECT_EQ(E->RefCount, 1u);
+    Stored.emplace_back();
+    ASSERT_TRUE(Store.loadImage(*E, Stored.back()));
+  }
+  const std::vector<SnapFile> &Snaps = T.D.snaps();
+  ASSERT_GE(Snaps.size(), 2u);
+  ASSERT_EQ(Snaps.size(), Stored.size());
+  for (size_t I = 0; I < Snaps.size(); ++I)
+    EXPECT_EQ(Snaps[I].serialize(), Stored[I]) << "snap " << I;
+  // Nothing new arrived, so a second read decodes nothing: the same
+  // elements at the same addresses.
+  const SnapFile *First = Snaps.data();
+  EXPECT_EQ(T.D.snaps().size(), Stored.size());
+  EXPECT_EQ(T.D.snaps().data(), First);
+  Store.close();
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(NetDaemonTest, SnapsKeepsArrivalOrderAcrossPushFallback) {
+  // Cut alpha off from the collector part-way: alpha's snaps then take the
+  // push_fallback path and arrive decoded, while beta's still arrive as
+  // pushed images. Each direct delivery must land after the images that
+  // arrived before it, and every snap exactly once.
+  Module CM = compileOrDie(NetSnapClient, "climod", Technology::Native,
+                           "client.ml");
+  Module SM = compileOrDie(NetEchoServer, "srvmod", Technology::Native,
+                           "server.ml");
+  NetTwoMachines T;
+  T.deployAndRun(CM, SM);
+  ASSERT_TRUE(T.D.pumpNetwork());
+  using Key = std::tuple<uint64_t, int, uint64_t>;
+  auto keyOf = [](const SnapFile &S) {
+    return Key{S.Pid, static_cast<int>(S.Reason), S.Timestamp};
+  };
+  std::vector<Key> Want;
+  for (const SnapFile &S : T.D.snaps())
+    Want.push_back(keyOf(S));
+  ASSERT_GE(Want.size(), 2u);
+
+  // A frame alpha cannot deliver exhausts its retries, so alpha judges the
+  // collector unreachable (a heartbeat, so no snap is lost on the way).
+  T.D.world().netSetPartitioned(T.MA->Id, T.CollectorId, true);
+  TransportEndpoint *EA = T.D.endpointFor(*T.MA);
+  ASSERT_NE(EA->send(FrameType::Heartbeat, T.CollectorId, {}), 0u);
+  ASSERT_TRUE(T.D.pumpNetwork());
+  ASSERT_TRUE(EA->peerUnreachable(T.CollectorId));
+
+  // GroupPeer snaps do not fan out, so each call yields exactly one snap.
+  TracebackRuntime *Alpha = T.D.runtimeFor(*T.Client, Technology::Native);
+  TracebackRuntime *Beta = T.D.runtimeFor(*T.Server, Technology::Native);
+  auto take = [&](TracebackRuntime *RT) {
+    Want.push_back(keyOf(*RT->takeSnap(SnapReason::GroupPeer, 0)));
+    ASSERT_TRUE(T.D.pumpNetwork());
+  };
+  for (TracebackRuntime *RT : {Beta, Alpha, Beta, Alpha, Beta})
+    take(RT);
+  EXPECT_EQ(T.Reg.counter("daemon.net.push_fallback").value(), 2u);
+
+  std::vector<Key> Got;
+  for (const SnapFile &S : T.D.snaps())
+    Got.push_back(keyOf(S));
+  EXPECT_EQ(Got, Want);
 }
 
 TEST(NetDaemonTest, HeartbeatsCrossTheNetwork) {
