@@ -118,7 +118,8 @@ size_t ReplayEnforcer::onSchedulePick(uint64_t Slice,
   uint64_t Idx = Log.DroppedHead + Cursor - 1;
   uint64_t RecCount = E->B >> 32;
   size_t Pick = static_cast<uint32_t>(E->B);
-  uint64_t Hash = ExecutionRecorder::candidateHash(Cands);
+  SchedCands.update(Cands);
+  uint64_t Hash = SchedCands.hash();
   if (E->A != Slice || RecCount != Cands.size() || E->E != Hash)
     diverge(Divergence::Kind::ScheduleSet, Idx,
             formatv("recorded slice %llu with %llu candidates (hash "

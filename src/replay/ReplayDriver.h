@@ -21,6 +21,7 @@
 #define TRACEBACK_REPLAY_REPLAYDRIVER_H
 
 #include "replay/ExecutionLog.h"
+#include "replay/Recorder.h"
 #include "reconstruct/Trace.h"
 #include "vm/Scribe.h"
 
@@ -102,6 +103,8 @@ private:
   uint64_t FirstOrd[8] = {};
   bool TruncationReported = false;
   std::vector<Divergence> Divs;
+  /// Hash of the candidate set at the last enforced pick.
+  CandidateSetMemo SchedCands;
 };
 
 /// Drives a full replay: world rebuild, enforced execution, host-side

@@ -161,8 +161,7 @@ void TracebackRuntime::initBuffer(RtBuffer &B) {
   P.Mem.write32(HeaderBase + 20, B.Desperation ? 1 : 0);
   P.Mem.write64(HeaderBase + 24, 0);
   // Zero all records, then drop a sentinel at the end of each sub-buffer.
-  std::vector<uint8_t> Zeros(B.totalWords() * 4, 0);
-  P.Mem.write(B.RecordsBase, Zeros.data(), Zeros.size());
+  P.Mem.fill(B.RecordsBase, 0, B.totalWords() * 4ull);
   for (uint32_t S = 0; S < B.SubCount; ++S)
     P.Mem.write32(B.RecordsBase + (static_cast<uint64_t>(S + 1) * B.SubWords -
                                    1) * 4,
@@ -211,8 +210,7 @@ uint64_t TracebackRuntime::rotateSubBuffer(RtBuffer &B,
   // progress can be found as the last non-zero entry.
   uint64_t NextBase = B.RecordsBase + static_cast<uint64_t>(Next) *
                                           B.SubWords * 4;
-  std::vector<uint8_t> Zeros((B.SubWords - 1) * 4, 0);
-  P.Mem.write(NextBase, Zeros.data(), Zeros.size());
+  P.Mem.fill(NextBase, 0, (B.SubWords - 1) * 4ull);
   return NextBase;
 }
 

@@ -12,7 +12,9 @@
 /// allocation per entry that this map does not.
 ///
 /// Insert-or-assign and find only — no erase (the reconstruction indices
-/// are build-once / read-many), which keeps probing tombstone-free.
+/// are build-once / read-many, and guest memory never unmaps), which keeps
+/// probing tombstone-free. Values may be move-only: the VM's page table
+/// owns its pages through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,7 +122,7 @@ private:
 
   void rehash(size_t NewCap) {
     std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(NewCap, Slot());
+    Slots = std::vector<Slot>(NewCap);
     Count = 0;
     for (Slot &S : Old)
       if (S.Used)

@@ -8,28 +8,14 @@
 
 using namespace traceback;
 
-const uint8_t *AddressSpace::pageFor(uint64_t Addr) const {
-  auto It = Pages.find(Addr / PageSize);
-  return It == Pages.end() ? nullptr : It->second.get();
-}
-
-uint8_t *AddressSpace::pageForWrite(uint64_t Addr) {
-  auto It = Pages.find(Addr / PageSize);
-  return It == Pages.end() ? nullptr : It->second.get();
-}
-
 void AddressSpace::map(uint64_t Addr, uint64_t Size) {
   if (Size == 0)
     return;
   uint64_t First = Addr / PageSize;
   uint64_t Last = (Addr + Size - 1) / PageSize;
-  for (uint64_t P = First; P <= Last; ++P) {
-    auto &Slot = Pages[P];
-    if (!Slot) {
-      Slot = std::make_unique<uint8_t[]>(PageSize);
-      std::memset(Slot.get(), 0, PageSize);
-    }
-  }
+  for (uint64_t P = First; P <= Last; ++P)
+    if (!Pages.find(P)) // make_unique<T[]> value-initializes: zero-filled.
+      Pages.insertOrAssign(P, std::make_unique<uint8_t[]>(PageSize));
 }
 
 bool AddressSpace::isMapped(uint64_t Addr, uint64_t Size) const {
@@ -38,7 +24,7 @@ bool AddressSpace::isMapped(uint64_t Addr, uint64_t Size) const {
   uint64_t First = Addr / PageSize;
   uint64_t Last = (Addr + Size - 1) / PageSize;
   for (uint64_t P = First; P <= Last; ++P)
-    if (!Pages.count(P))
+    if (!Pages.find(P))
       return false;
   return true;
 }
@@ -84,7 +70,7 @@ bool AddressSpace::readInto(uint64_t Addr, uint64_t Size,
 bool AddressSpace::write(uint64_t Addr, const void *Src, uint64_t Size) {
   const uint8_t *In = static_cast<const uint8_t *>(Src);
   while (Size > 0) {
-    uint8_t *Page = pageForWrite(Addr);
+    uint8_t *Page = pageFor(Addr);
     if (!Page)
       return false;
     uint64_t InPage = Addr % PageSize;
@@ -93,6 +79,22 @@ bool AddressSpace::write(uint64_t Addr, const void *Src, uint64_t Size) {
       Chunk = Size;
     std::memcpy(Page + InPage, In, Chunk);
     In += Chunk;
+    Addr += Chunk;
+    Size -= Chunk;
+  }
+  return true;
+}
+
+bool AddressSpace::fill(uint64_t Addr, uint8_t Value, uint64_t Size) {
+  while (Size > 0) {
+    uint8_t *Page = pageFor(Addr);
+    if (!Page)
+      return false;
+    uint64_t InPage = Addr % PageSize;
+    uint64_t Chunk = PageSize - InPage;
+    if (Chunk > Size)
+      Chunk = Size;
+    std::memset(Page + InPage, Value, Chunk);
     Addr += Chunk;
     Size -= Chunk;
   }

@@ -16,10 +16,13 @@
 #ifndef TRACEBACK_VM_ADDRESSSPACE_H
 #define TRACEBACK_VM_ADDRESSSPACE_H
 
+#include "support/FlatMap.h"
+
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 namespace traceback {
@@ -48,17 +51,27 @@ public:
   /// Bulk copy in; false on unmapped access.
   bool write(uint64_t Addr, const void *Src, uint64_t Size);
 
-  // Fixed-width helpers; Ok is cleared on fault (never set to true).
-  uint64_t read64(uint64_t Addr, bool &Ok) const { return readN(Addr, 8, Ok); }
+  /// Sets every byte of [Addr, Addr+Size) to \p Value, a page at a time;
+  /// false (pages before the hole filled) on unmapped access.
+  bool fill(uint64_t Addr, uint8_t Value, uint64_t Size);
+
+  // Fixed-width helpers; Ok is cleared on fault (never set to true). An
+  // access inside one page touches that page directly; one that straddles
+  // a page boundary takes the bulk path, so running into an unmapped page
+  // faults (and a store leaves the mapped part written) exactly as a
+  // byte-wise copy would.
+  uint64_t read64(uint64_t Addr, bool &Ok) const {
+    return load<uint64_t>(Addr, Ok);
+  }
   uint32_t read32(uint64_t Addr, bool &Ok) const {
-    return static_cast<uint32_t>(readN(Addr, 4, Ok));
+    return load<uint32_t>(Addr, Ok);
   }
   uint8_t read8(uint64_t Addr, bool &Ok) const {
-    return static_cast<uint8_t>(readN(Addr, 1, Ok));
+    return load<uint8_t>(Addr, Ok);
   }
-  bool write64(uint64_t Addr, uint64_t V) { return writeN(Addr, V, 8); }
-  bool write32(uint64_t Addr, uint32_t V) { return writeN(Addr, V, 4); }
-  bool write8(uint64_t Addr, uint8_t V) { return writeN(Addr, V, 1); }
+  bool write64(uint64_t Addr, uint64_t V) { return store<uint64_t>(Addr, V); }
+  bool write32(uint64_t Addr, uint32_t V) { return store<uint32_t>(Addr, V); }
+  bool write8(uint64_t Addr, uint8_t V) { return store<uint8_t>(Addr, V); }
 
   /// Reads a NUL-terminated string (bounded); false on fault or overlong.
   bool readCString(uint64_t Addr, std::string &Out,
@@ -68,13 +81,50 @@ public:
   uint64_t mappedBytes() const { return Pages.size() * PageSize; }
 
 private:
+  /// Guest memory is little endian; so is every host this builds for, but
+  /// say so rather than assume it.
+  static constexpr bool HostIsLittleEndian =
+      std::endian::native == std::endian::little;
+
+  template <typename T> T load(uint64_t Addr, bool &Ok) const {
+    uint64_t InPage = Addr % PageSize;
+    if (!HostIsLittleEndian || InPage > PageSize - sizeof(T))
+      return static_cast<T>(readN(Addr, sizeof(T), Ok));
+    const uint8_t *Page = pageFor(Addr);
+    if (!Page) {
+      Ok = false;
+      return 0;
+    }
+    T V;
+    std::memcpy(&V, Page + InPage, sizeof V);
+    return V;
+  }
+
+  template <typename T> bool store(uint64_t Addr, T V) {
+    uint64_t InPage = Addr % PageSize;
+    if (!HostIsLittleEndian || InPage > PageSize - sizeof(T))
+      return writeN(Addr, V, sizeof(T));
+    uint8_t *Page = pageFor(Addr);
+    if (!Page)
+      return false;
+    std::memcpy(Page + InPage, &V, sizeof V);
+    return true;
+  }
+
   uint64_t readN(uint64_t Addr, unsigned N, bool &Ok) const;
   bool writeN(uint64_t Addr, uint64_t V, unsigned N);
 
-  const uint8_t *pageFor(uint64_t Addr) const;
-  uint8_t *pageForWrite(uint64_t Addr);
+  const uint8_t *pageFor(uint64_t Addr) const {
+    const std::unique_ptr<uint8_t[]> *Page = Pages.find(Addr / PageSize);
+    return Page ? Page->get() : nullptr;
+  }
+  uint8_t *pageFor(uint64_t Addr) {
+    std::unique_ptr<uint8_t[]> *Page = Pages.find(Addr / PageSize);
+    return Page ? Page->get() : nullptr;
+  }
 
-  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> Pages;
+  /// Page number -> page. Nothing unmaps, so the map never erases.
+  FlatMap64<std::unique_ptr<uint8_t[]>> Pages;
 };
 
 } // namespace traceback

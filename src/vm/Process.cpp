@@ -85,11 +85,10 @@ LoadedModule *Process::loadModule(const Module &M, std::string &Error) {
     return nullptr;
   }
   LM->Decoded.reserve(Decoded.size());
-  LM->OffsetOf.reserve(Decoded.size());
+  LM->IndexAt.assign(LM->CodeSize, LoadedModule::NoInsn);
   for (const DecodedInsn &D : Decoded) {
-    LM->IndexAt.emplace(D.Offset, static_cast<uint32_t>(LM->Decoded.size()));
+    LM->IndexAt[D.Offset] = static_cast<uint32_t>(LM->Decoded.size());
     LM->Decoded.push_back(D.Insn);
-    LM->OffsetOf.push_back(D.Offset);
   }
 
   LM->ImportAddrs.assign(M.Imports.size(), 0);

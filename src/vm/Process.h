@@ -44,8 +44,10 @@ struct LoadedModule {
   uint32_t CodeSize = 0;
 
   std::vector<Instruction> Decoded;
-  std::vector<uint32_t> OffsetOf; ///< Code offset of each decoded index.
-  std::unordered_map<uint32_t, uint32_t> IndexAt;
+  /// Decoded index of the instruction starting at each code offset, or
+  /// NoInsn where none starts (a jump there is a wild control transfer).
+  std::vector<uint32_t> IndexAt;
+  static constexpr uint32_t NoInsn = UINT32_MAX;
 
   std::vector<uint64_t> ImportAddrs; ///< 0 = not yet bound.
   bool Unloaded = false;

@@ -40,6 +40,8 @@ struct SliceCandidate {
   uint64_t MachineId = 0;
   uint64_t Pid = 0;
   uint64_t Tid = 0;
+
+  bool operator==(const SliceCandidate &) const = default;
 };
 
 /// Observer/arbiter of every nondeterministic decision in a World.

@@ -231,12 +231,7 @@ bool World::stepSlice() {
     Injector->onSliceBoundary(*this);
   }
   for (int Attempt = 0; Attempt < 2; ++Attempt) {
-    struct Cand {
-      Machine *M;
-      Process *P;
-      Thread *T;
-    };
-    std::vector<Cand> Cands;
+    Cands.clear();
     bool HaveSleeper = false;
     uint64_t MinWake = UINT64_MAX;
 
@@ -262,15 +257,14 @@ bool World::stepSlice() {
     if (!Cands.empty()) {
       size_t Pick = ScheduleCursor++ % Cands.size();
       if (Scribe) {
-        std::vector<SliceCandidate> View;
-        View.reserve(Cands.size());
-        for (const Cand &C : Cands)
-          View.push_back({C.M->Id, C.P->Pid, C.T->Id});
-        Pick = Scribe->onSchedulePick(SliceCount, View, Pick);
+        CandView.clear();
+        for (const SliceCand &C : Cands)
+          CandView.push_back({C.M->Id, C.P->Pid, C.T->Id});
+        Pick = Scribe->onSchedulePick(SliceCount, CandView, Pick);
         if (Pick >= Cands.size())
           Pick = 0;
       }
-      Cand &C = Cands[Pick];
+      SliceCand C = Cands[Pick];
       runQuantum(*C.M, *C.P, *C.T);
       return true;
     }
@@ -313,16 +307,21 @@ void World::runQuantum(Machine &M, Process &P, Thread &T) {
     GlobalCycles += Cycles;
   };
 
+  // Module ranges never overlap, so while the kept module still contains
+  // the PC it is the one moduleForPC would return; the module list is
+  // scanned only when control leaves it (or it was unloaded).
+  LoadedModule *LM = nullptr;
   for (uint32_t N = 0; N < Quantum; ++N) {
     if (P.Exited || !T.runnable())
       break;
 
-    LoadedModule *LM = P.moduleForPC(T.PC);
+    if (!LM || !LM->containsPC(T.PC))
+      LM = P.moduleForPC(T.PC);
     const Instruction *IP = nullptr;
     if (LM) {
-      auto It = LM->IndexAt.find(static_cast<uint32_t>(T.PC - LM->CodeBase));
-      if (It != LM->IndexAt.end())
-        IP = &LM->Decoded[It->second];
+      uint32_t Index = LM->IndexAt[T.PC - LM->CodeBase];
+      if (Index != LoadedModule::NoInsn)
+        IP = &LM->Decoded[Index];
     }
     if (!IP) {
       // Wild PC: the exception address is the bad target itself.

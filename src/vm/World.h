@@ -22,6 +22,7 @@
 #define TRACEBACK_VM_WORLD_H
 
 #include "vm/Machine.h"
+#include "vm/Scribe.h"
 #include "vm/Syscalls.h"
 
 #include <deque>
@@ -35,7 +36,6 @@
 namespace traceback {
 
 class FaultInjector;
-class ExecutionScribe;
 
 /// An in-flight RPC.
 struct RpcRequest {
@@ -221,6 +221,17 @@ private:
   std::map<uint64_t, RpcRequest> Rpcs;
   std::map<Process *, std::vector<uint64_t>> ServerBacklog;
   size_t ScheduleCursor = 0;
+
+  /// One runnable thread at a slice boundary. The candidate list and the
+  /// scribe's view of it are rebuilt every slice into the same storage, so
+  /// a slice allocates nothing.
+  struct SliceCand {
+    Machine *M;
+    Process *P;
+    Thread *T;
+  };
+  std::vector<SliceCand> Cands;
+  std::vector<SliceCandidate> CandView;
 
   // Network fabric state.
   std::map<uint64_t, std::deque<NetPacket>> NetMailboxes; ///< Keyed by dst.

@@ -21,6 +21,7 @@
 #include "core/FileIO.h"
 #include "replay/Recorder.h"
 #include "replay/ReplayDriver.h"
+#include "support/MD5.h"
 #include "support/Text.h"
 #include "vm/FaultInjector.h"
 
@@ -345,6 +346,73 @@ TEST(ReplayTest, WindowedRecordingStillReplaysToTheAnchor) {
   EXPECT_TRUE(V.Ok) << V.render();
   EXPECT_TRUE(V.SnapMatched);
   EXPECT_TRUE(V.TraceIdentical);
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned recordings: interpreter and recorder changes keep every byte.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A seeded request loop in the replay bench's fleet shape: a branchy
+/// handler fed one rand() draw per iteration, preempted at quantum
+/// boundaries, with snap(1) anchoring the log at the end.
+std::string pinnedModuleSrc(uint32_t Idx, uint32_t Iters) {
+  uint32_t S = Idx * 2654435761u + 0x51ed2701u;
+  auto Next = [&] {
+    S ^= S << 13;
+    S ^= S >> 17;
+    S ^= S << 5;
+    return S;
+  };
+  std::string Src = "fn handle(x) {\n  var y = x;\n";
+  unsigned Branches = 3 + Next() % 4;
+  for (unsigned I = 0; I < Branches; ++I)
+    Src += formatv("  if (y & %u) { y = y * %u + %u; } "
+                   "else { y = y ^ (y >> %u); }\n",
+                   1u << (Next() % 8), 3 + Next() % 5, 1 + Next() % 9,
+                   1 + Next() % 4);
+  unsigned Chunk = 16 + Next() % 16;
+  for (unsigned I = 0; I < Chunk; ++I)
+    Src += formatv("  y = (y * %u + %u) ^ (y >> %u);\n", 3 + Next() % 7,
+                   Next() % 255, 1 + Next() % 5);
+  Src += "  return y & 1048575;\n}\n";
+  Src += "fn main() export {\n";
+  Src += formatv("  var s = %u;\n", 1 + Next() % 1000);
+  Src += formatv("  var i = 0;\n  while (i < %u) {\n", Iters);
+  Src += "    s = handle(s + (rand() & 31));\n    i = i + 1;\n";
+  Src += "  }\n  snap(1);\n  print(s & 65535);\n}\n";
+  return Src;
+}
+
+} // namespace
+
+TEST(ReplayTest, RecordedRunsArePinned) {
+  // Pins the recorded log bytes, exact cycle counts and output of 24
+  // recorded runs (12 modules, plain and windowed). Replay checks cannot
+  // catch a VM or recorder change that shifts any of them: replay
+  // re-executes under the same VM. The digest must never need updating.
+  MD5 Hash;
+  for (uint32_t Window : {0u, 64u})
+    for (uint32_t I = 0; I < 12; ++I) {
+      RecordedProcess S(Window);
+      ASSERT_EQ(S.runModule(compileOrDie(pinnedModuleSrc(I, 60),
+                                         formatv("svc%03u", I)),
+                            /*Instrument=*/true),
+                World::RunResult::AllExited)
+          << "module " << I << " window " << Window;
+      ASSERT_FALSE(S.D.snaps().empty());
+      for (const SnapFile &Snap : S.D.snaps()) {
+        ASSERT_FALSE(Snap.ExecLog.empty());
+        Hash.update(Snap.ExecLog.data(), Snap.ExecLog.size());
+      }
+      std::vector<uint8_t> Log = S.Rec.serialized();
+      Hash.update(Log.data(), Log.size());
+      Hash.update(formatv("cycles=%llu\n",
+                          static_cast<unsigned long long>(S.P->CyclesUsed)));
+      Hash.update(S.P->Output);
+    }
+  EXPECT_EQ(Hash.final().toHex(), "5f90d577e168b2bc58366df95f4b246f");
 }
 
 TEST(ReplayTest, ToLimitStopsEnforcementEarly) {

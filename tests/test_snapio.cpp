@@ -255,8 +255,9 @@ TEST(SnapCodecTest, BitFlippedStreamsNeverCrash) {
       std::vector<uint8_t> Bad = Stream;
       Bad[I] ^= static_cast<uint8_t>(1 << Bit);
       Back.clear();
-      if (snapDecodeTo(Bad.data(), Bad.size(), Back))
+      if (snapDecodeTo(Bad.data(), Bad.size(), Back)) {
         EXPECT_EQ(Back.size(), In.size());
+      }
     }
   }
 }

@@ -129,9 +129,10 @@ head:
   for (const FunctionCFG &F : CFGs) {
     FunctionTiling T = tileFunction(F, TileOptions());
     for (const BasicBlock &B : F.Blocks) {
-      if (B.IsFunctionEntry || B.IsCallReturnPoint || B.IsBackEdgeTarget)
+      if (B.IsFunctionEntry || B.IsCallReturnPoint || B.IsBackEdgeTarget) {
         EXPECT_TRUE(T.isHeader(B.Index))
             << F.Name << " block " << B.Index;
+      }
     }
   }
 }

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace traceback;
 
 namespace {
@@ -55,6 +57,51 @@ TEST(AddressSpaceTest, MapReadWrite) {
   Ok = true;
   Mem.read64(0x9999000, Ok);
   EXPECT_FALSE(Ok);
+}
+
+TEST(AddressSpaceTest, StraddlingAccessIntoUnmappedPageFaults) {
+  // Only the first page is mapped: an 8-byte access at PageSize - 4 has
+  // its first half there and its second half in the hole.
+  const uint64_t P = AddressSpace::PageSize;
+  AddressSpace Mem;
+  Mem.map(0, P);
+  ASSERT_FALSE(Mem.isMapped(P, 1));
+  std::vector<uint8_t> Pattern(P);
+  for (uint64_t I = 0; I < P; ++I)
+    Pattern[I] = static_cast<uint8_t>(I * 7 + 1);
+  ASSERT_TRUE(Mem.write(0, Pattern.data(), P));
+
+  bool Ok = true;
+  Mem.read64(P - 4, Ok);
+  EXPECT_FALSE(Ok);
+  EXPECT_FALSE(Mem.write64(P - 4, 0x1122334455667788ull));
+
+  // The store wrote the mapped half before it ran into the hole, as the
+  // byte-wise bulk copy always has: little-endian low bytes first.
+  std::vector<uint8_t> Want = Pattern;
+  Want[P - 4] = 0x88;
+  Want[P - 3] = 0x77;
+  Want[P - 2] = 0x66;
+  Want[P - 1] = 0x55;
+  std::vector<uint8_t> Got(P);
+  ASSERT_TRUE(Mem.read(0, Got.data(), P));
+  EXPECT_EQ(Got, Want);
+}
+
+TEST(AddressSpaceTest, FillSetsBytesAcrossPages) {
+  const uint64_t P = AddressSpace::PageSize;
+  AddressSpace Mem;
+  Mem.map(0, 2 * P);
+  ASSERT_TRUE(Mem.fill(0, 0xAB, 2 * P));
+  ASSERT_TRUE(Mem.fill(P - 3, 0, 6));
+  std::vector<uint8_t> Got(2 * P);
+  ASSERT_TRUE(Mem.read(0, Got.data(), 2 * P));
+  for (uint64_t I = 0; I < 2 * P; ++I)
+    ASSERT_EQ(Got[I], I >= P - 3 && I < P + 3 ? 0 : 0xAB) << "byte " << I;
+  EXPECT_FALSE(Mem.fill(2 * P - 1, 0, 2));
+  bool Ok = true;
+  EXPECT_EQ(Mem.read8(2 * P - 1, Ok), 0);
+  EXPECT_TRUE(Ok);
 }
 
 TEST(AddressSpaceTest, CString) {
@@ -245,6 +292,33 @@ TEST(VmTest, WildReturnFromSmashedStack) {
   EXPECT_TRUE(F.P->Exited);
   EXPECT_EQ(F.P->LastFault.Code, FaultCode::BadJump);
   EXPECT_EQ(F.P->LastFault.PC, 0x12345678u);
+}
+
+TEST(VmTest, JumpIntoInstructionMiddleFaults) {
+  // The target lies inside the module but one byte into an instruction:
+  // no instruction starts there, so the jump is as wild as one outside
+  // every module.
+  Fixture F;
+  F.load(assemble(R"(.module m
+.func main export
+  lea r4, target+1
+  jmpind r4
+  halt
+.endfunc
+.func target export
+  movi r0, 7
+  sys $SysPrintInt
+  halt
+.endfunc
+)"));
+  uint64_t Bad = F.P->resolveSymbol("target") + 1;
+  ASSERT_NE(F.P->moduleForPC(Bad), nullptr);
+  F.W.run();
+  EXPECT_TRUE(F.P->Exited);
+  EXPECT_EQ(F.P->Output, "");
+  EXPECT_EQ(F.P->LastFault.Code, FaultCode::BadJump);
+  EXPECT_EQ(F.P->LastFault.PC, Bad);
+  EXPECT_EQ(F.P->LastFault.Addr, Bad);
 }
 
 TEST(VmTest, ThreadsJoinAndMutex) {
