@@ -24,6 +24,21 @@
 
 namespace traceback {
 
+/// Most bytes putVarU64 writes.
+constexpr size_t MaxVarU64Bytes = 10;
+
+/// Writes \p V at \p P as an LEB128-style unsigned varint and returns the
+/// end. ByteWriter::writeVarU64 and the execution log's event encoder
+/// both write through it.
+inline uint8_t *putVarU64(uint8_t *P, uint64_t V) {
+  while (V >= 0x80) {
+    *P++ = static_cast<uint8_t>(V) | 0x80;
+    V >>= 7;
+  }
+  *P++ = static_cast<uint8_t>(V);
+  return P;
+}
+
 /// Appends little-endian encoded primitives to a byte vector.
 class ByteWriter {
 public:
@@ -50,11 +65,8 @@ public:
 
   /// LEB128-style unsigned varint.
   void writeVarU64(uint64_t V) {
-    while (V >= 0x80) {
-      Out.push_back(static_cast<uint8_t>(V) | 0x80);
-      V >>= 7;
-    }
-    Out.push_back(static_cast<uint8_t>(V));
+    uint8_t Buf[MaxVarU64Bytes];
+    Out.insert(Out.end(), Buf, putVarU64(Buf, V));
   }
 
   /// Length-prefixed UTF-8 string.
