@@ -28,6 +28,7 @@
 #include "BenchCommon.h"
 
 #include "collector/CollectorService.h"
+#include "collector/PagedIndex.h"
 #include "collector/SnapStore.h"
 #include "core/FileIO.h"
 #include "runtime/Snap.h"
@@ -113,10 +114,10 @@ double percentile(std::vector<double> &Sorted, double P) {
   return Sorted[I];
 }
 
-/// Open-latency at depth: the paged TBIX v2 checkpoint against full v1
-/// journal replay, over the same synthesized index. The journal is
-/// written directly (header + add lines) — open cost depends only on
-/// the index, payload shards are never touched by open or by
+/// Open-latency at depth: the paged checkpoint against full journal
+/// replay, over the same synthesized index. The journal is written
+/// through the store's own journal writer — open cost depends only
+/// on the index, payload shards are never touched by open or by
 /// metadata-only queries — so this scales to millions of entries
 /// without minutes of ingest. Gates (enforced even in smoke mode, with
 /// a smoke-sized threshold): paged open must beat full replay by the
@@ -128,15 +129,10 @@ std::string runOpenLatencyBench() {
   const size_t CacheCap = 2u << 20;
 
   std::string Dir = benchStoreDir() + "-open";
+  std::string JournalPath = Dir + "/index.tbx";
   std::error_code EC;
   fs::create_directories(Dir, EC);
   {
-    std::FILE *J = std::fopen((Dir + "/index.tbx").c_str(), "wb");
-    if (!J) {
-      std::fprintf(stderr, "bench: cannot write synthetic journal\n");
-      std::abort();
-    }
-    std::fprintf(J, "TBIX v1\n");
     static const char *Machines[] = {"web01", "web02", "web03",
                                      "db01",  "cache01", "cache02"};
     static const char *Mods[] = {"httpd", "authsvc", "cachelib", "dbcore"};
@@ -144,37 +140,45 @@ std::string runOpenLatencyBench() {
     for (unsigned M = 0; M < 4; ++M)
       ModKeys[M] = MD5::hash(Mods[M], std::strlen(Mods[M])).low64();
     uint64_t Rng = 0xbe5eed0123456789ull;
-    for (uint64_t I = 0; I < N; ++I) {
+    uint64_t I = 0;
+    auto NextEntry = [&](SnapStoreEntry &E) {
+      if (I == N)
+        return false;
       uint64_t R = nextRand(Rng);
       unsigned M0 = R % 4, M1 = (M0 + 1) % 4;
+      E.Id = I + 1;
+      E.Shard = static_cast<uint32_t>(R % 4);
+      E.Offset = I * 4096;
+      E.ImageBytes = 4000;
+      E.PayloadHash = 0x2545F4914F6CDD1Dull * (I + 1);
       // ~1000 distinct fingerprints: realistic posting-list depth.
-      uint64_t Fp = 0x9e3779b97f4a7c15ull * (1 + (R >> 8) % 1000);
-      uint64_t Ph = 0x2545F4914F6CDD1Dull * (I + 1);
-      std::fprintf(J,
-                   "add id=%llu shard=%u off=%llu bytes=4000 ph=%016llx "
-                   "fp=%016llx kind=fault%u@%s machine=%s mid=%llu "
-                   "proc=app pid=%llu ts=%llu reason=1 refs=1 "
-                   "mod=%s:%016llx:1 mod=%s:%016llx:1\n",
-                   static_cast<unsigned long long>(I + 1),
-                   static_cast<unsigned>(R % 4),
-                   static_cast<unsigned long long>(I * 4096),
-                   static_cast<unsigned long long>(Ph),
-                   static_cast<unsigned long long>(Fp), M0, Mods[M0],
-                   Machines[R % 6],
-                   static_cast<unsigned long long>(1 + R % 6),
-                   static_cast<unsigned long long>(1000 + I),
-                   static_cast<unsigned long long>(1'000'000 + I * 10),
-                   Mods[M0], static_cast<unsigned long long>(ModKeys[M0]),
-                   Mods[M1], static_cast<unsigned long long>(ModKeys[M1]));
-    }
-    if (std::fclose(J) != 0)
+      E.Fingerprint = 0x9e3779b97f4a7c15ull * (1 + (R >> 8) % 1000);
+      E.Kind = formatv("fault%u@%s", M0, Mods[M0]);
+      E.MachineName = Machines[R % 6];
+      E.MachineId = 1 + R % 6;
+      E.ProcessName = "app";
+      E.Pid = 1000 + I;
+      E.Timestamp = 1'000'000 + I * 10;
+      E.Reason = 1;
+      for (unsigned M : {M0, M1}) {
+        E.ModuleNames.push_back(Mods[M]);
+        E.ModuleKeys.push_back(ModKeys[M]);
+        E.ModuleInstrumented.push_back(1);
+      }
+      ++I;
+      return true;
+    };
+    std::string Err;
+    if (!writeIndexJournal(JournalPath, NextEntry, Err)) {
+      std::fprintf(stderr, "bench: cannot write synthetic journal: %s\n",
+                   Err.c_str());
       std::abort();
+    }
   }
+  uint64_t JournalBytes = fs::file_size(JournalPath, EC);
 
-  auto openStore = [&](SnapStore &St, bool Paged, bool ReadOnly,
-                       MetricsRegistry &Reg) {
+  auto openStore = [&](SnapStore &St, bool ReadOnly, MetricsRegistry &Reg) {
     SnapStoreOptions O;
-    O.Paged = Paged;
     O.ReadOnly = ReadOnly;
     O.PageCacheBytes = CacheCap;
     O.Metrics = &Reg;
@@ -185,16 +189,16 @@ std::string runOpenLatencyBench() {
     }
   };
 
-  // 1. Full v1 replay, read-only (no checkpoint exists yet).
+  // 1. Full journal replay, read-only (no checkpoint exists yet).
   double UnpagedMs = 0;
   {
     MetricsRegistry Reg;
     SnapStore St;
     auto T0 = std::chrono::steady_clock::now();
-    openStore(St, /*Paged=*/false, /*ReadOnly=*/true, Reg);
+    openStore(St, /*ReadOnly=*/true, Reg);
     auto T1 = std::chrono::steady_clock::now();
     UnpagedMs = std::chrono::duration<double, std::milli>(T1 - T0).count();
-    if (St.liveEntries() != N)
+    if (St.openedPaged() || St.liveEntries() != N)
       std::abort();
     St.close();
   }
@@ -205,9 +209,9 @@ std::string runOpenLatencyBench() {
   {
     MetricsRegistry Reg;
     SnapStore St;
-    openStore(St, /*Paged=*/false, /*ReadOnly=*/false, Reg);
+    openStore(St, /*ReadOnly=*/false, Reg);
     auto T0 = std::chrono::steady_clock::now();
-    St.close(); // Dirty unpaged open → writes index.tbx2.
+    St.close(); // Dirty replayed open → writes index.tbx2.
     auto T1 = std::chrono::steady_clock::now();
     CheckpointMs = std::chrono::duration<double, std::milli>(T1 - T0).count();
   }
@@ -216,7 +220,7 @@ std::string runOpenLatencyBench() {
   MetricsRegistry Reg;
   SnapStore St;
   auto T0 = std::chrono::steady_clock::now();
-  openStore(St, /*Paged=*/true, /*ReadOnly=*/true, Reg);
+  openStore(St, /*ReadOnly=*/true, Reg);
   auto T1 = std::chrono::steady_clock::now();
   double PagedMs = std::chrono::duration<double, std::milli>(T1 - T0).count();
   if (!St.openedPaged()) {
@@ -259,8 +263,9 @@ std::string runOpenLatencyBench() {
   std::printf("Open latency at depth (%llu index entries)\n",
               static_cast<unsigned long long>(N));
   printRule();
-  std::printf("open: v1 full replay    %10.1f ms\n", UnpagedMs);
-  std::printf("open: v2 paged          %10.1f ms   (%.1fx faster; "
+  std::printf("open: journal replay    %10.1f ms   (%llu journal bytes)\n",
+              UnpagedMs, static_cast<unsigned long long>(JournalBytes));
+  std::printf("open: paged checkpoint  %10.1f ms   (%.1fx faster; "
               "checkpoint build %.1f ms)\n",
               PagedMs, Speedup, CheckpointMs);
   std::printf("paged queries           %10.1f ms   (%llu rows, %llu hit / "
@@ -276,6 +281,8 @@ std::string runOpenLatencyBench() {
   std::string J;
   J += formatv("  \"open_index_entries\": %llu,\n",
                static_cast<unsigned long long>(N));
+  J += formatv("  \"open_journal_bytes\": %llu,\n",
+               static_cast<unsigned long long>(JournalBytes));
   J += formatv("  \"open_unpaged_ms\": %.3f,\n", UnpagedMs);
   J += formatv("  \"open_paged_ms\": %.3f,\n", PagedMs);
   J += formatv("  \"open_speedup\": %.2f,\n", Speedup);

@@ -21,7 +21,7 @@
 //
 //   fan-out       wall time from one faulting snap to all N group-member
 //                 snaps delivered downstream and archived, at N = 8, 64
-//                 and 256 processes: sharded async queues drained with
+//                 and 256 processes: the async ingest queue drained with
 //                 pooled v4 serialization, batched archive writes and
 //                 shared-pointer delivery. The fan-out rig also yields
 //                 the headline size numbers: raw vs v4 bytes/snap of its

@@ -13,9 +13,6 @@ using namespace traceback;
 
 CollectorService::CollectorService(SnapStore &Store, const CollectorOptions &O)
     : Store(Store), Opt(O) {
-  if (Opt.Shards == 0)
-    Opt.Shards = 1;
-  Queues.resize(Opt.Shards);
   MetricsRegistry &R = Opt.Metrics ? *Opt.Metrics : MetricsRegistry::global();
   CM.Received = &R.counter("collector.ingest.received");
   CM.Ingested = &R.counter("collector.ingest.ingested");
@@ -28,22 +25,17 @@ bool CollectorService::push(std::vector<uint8_t> Image,
                             uint64_t SrcMachineId) {
   ++ReceivedCount;
   CM.Received->add();
-  std::deque<Item> &Q = Queues[SrcMachineId % Opt.Shards];
   bool Ok = true;
-  if (Opt.QueueCapacity != 0 && Q.size() >= Opt.QueueCapacity) {
-    // Full shard: drain everything inline, preserving global order, and
-    // keep going — back-pressure degrades latency, never durability.
+  if (Opt.QueueCapacity != 0 && Queue.size() >= Opt.QueueCapacity) {
+    // Full queue: drain it inline, preserving arrival order, and keep
+    // going — back-pressure degrades latency, never durability.
     CM.InlineDrains->add();
     size_t Before = ErrorCount;
     drain();
     Ok = ErrorCount == Before;
   }
-  Item It;
-  It.Seq = NextSeq++;
-  It.SrcMachineId = SrcMachineId;
-  It.Image = std::move(Image);
-  Q.push_back(std::move(It));
-  CM.QueueDepth->set(static_cast<int64_t>(pending()));
+  Queue.push_back({SrcMachineId, std::move(Image)});
+  CM.QueueDepth->set(static_cast<int64_t>(Queue.size()));
   return Ok;
 }
 
@@ -82,28 +74,11 @@ bool CollectorService::ingestOne(const Item &It) {
 }
 
 size_t CollectorService::drain() {
-  // Merge the shards back into global arrival order: repeatedly take the
-  // queue whose head carries the lowest sequence. Shard layout becomes
-  // invisible — the store sees exactly the arrival stream.
   size_t Stored = 0;
-  for (;;) {
-    std::deque<Item> *Best = nullptr;
-    for (std::deque<Item> &Q : Queues)
-      if (!Q.empty() && (!Best || Q.front().Seq < Best->front().Seq))
-        Best = &Q;
-    if (!Best)
-      break;
-    if (ingestOne(Best->front()))
+  for (const Item &It : Queue)
+    if (ingestOne(It))
       ++Stored;
-    Best->pop_front();
-  }
+  Queue.clear();
   CM.QueueDepth->set(0);
   return Stored;
-}
-
-size_t CollectorService::pending() const {
-  size_t N = 0;
-  for (const std::deque<Item> &Q : Queues)
-    N += Q.size();
-  return N;
 }

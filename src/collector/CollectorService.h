@@ -5,17 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fleet-facing half of the collector: a sharded ingestion front
-/// that drains snap images handed to push() (TransportEndpoint snap
-/// pushes included) into a SnapStore. Modeled on the service daemon's
-/// async ingest: arriving images land in bounded per-shard queues
-/// (sharded by source machine so one chatty machine cannot starve the
-/// rest), each stamped with a global arrival sequence; drain() merges
-/// the shards back into arrival order, so the store's contents are a
-/// deterministic function of the arrival stream no matter how the shards
-/// interleaved. A full shard queue drains inline — ingest back-pressure
-/// must never drop a fault snap, the same rule the daemon's spill path
-/// enforces.
+/// The fleet-facing half of the collector: an ingestion front that
+/// drains snap images handed to push() (TransportEndpoint snap pushes
+/// included) into a SnapStore. Modeled on the service daemon's async
+/// ingest: arriving images wait in one bounded arrival-order queue, and
+/// drain() stores them in that order, so the store's contents are a
+/// deterministic function of the arrival stream. A full queue drains
+/// inline — ingest back-pressure must never drop a fault snap, the same
+/// rule the daemon's spill path enforces.
 ///
 /// attachTransport() hooks a TransportEndpoint's delivery handler:
 /// SnapPush frames are enqueued with their source machine id, and every
@@ -31,7 +28,6 @@
 #include "support/Metrics.h"
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -42,11 +38,9 @@ class TransportEndpoint;
 
 /// Ingestion-front tuning.
 struct CollectorOptions {
-  /// Ingest queue shards; a source machine hashes to shard (id % Shards).
-  unsigned Shards = 4;
-  /// Per-shard queue bound. An enqueue into a full shard drains the
-  /// whole service inline first (deterministic, never drops).
-  size_t QueueCapacity = 256;
+  /// Bound on queued images (0 = unbounded). An enqueue into a full
+  /// queue drains it inline first (deterministic, never drops).
+  size_t QueueCapacity = 1024;
   /// Destination of the "collector.ingest." instrument family
   /// (null = the process-global registry).
   MetricsRegistry *Metrics = nullptr;
@@ -69,11 +63,11 @@ public:
   void attachTransport(TransportEndpoint &EP);
   void detachTransport();
 
-  /// Drains every queued image into the store in global arrival order.
+  /// Drains every queued image into the store in arrival order.
   /// Returns how many snaps were stored (dedup hits included).
   size_t drain();
 
-  size_t pending() const;
+  size_t pending() const { return Queue.size(); }
 
   // --- Stats ---------------------------------------------------------------
 
@@ -85,7 +79,6 @@ public:
 
 private:
   struct Item {
-    uint64_t Seq = 0; ///< Global arrival order across all shards.
     uint64_t SrcMachineId = 0;
     std::vector<uint8_t> Image;
   };
@@ -94,8 +87,7 @@ private:
 
   SnapStore &Store;
   CollectorOptions Opt;
-  std::vector<std::deque<Item>> Queues;
-  uint64_t NextSeq = 1;
+  std::vector<Item> Queue; ///< Arrival order.
 
   TransportEndpoint *EP = nullptr;
   std::function<void(const struct WireFrame &)> PrevHandler;

@@ -1,4 +1,4 @@
-//===- collector/PagedIndex.cpp - TBIX v2 paged index checkpoint ----------===//
+//===- collector/PagedIndex.cpp - Snap index journal + checkpoint ---------===//
 //
 // Part of the TraceBack reproduction project.
 //
@@ -6,6 +6,9 @@
 
 #include "collector/PagedIndex.h"
 
+#include "distributed/SnapArchive.h"
+#include "support/ByteStream.h"
+#include "support/Fnv.h"
 #include "triage/Signature.h"
 
 #include <algorithm>
@@ -15,15 +18,145 @@
 
 using namespace traceback;
 
-uint64_t traceback::fnv1a64(const void *Data, size_t Len, uint64_t Seed) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint64_t H = Seed;
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
+//===----------------------------------------------------------------------===//
+// Entry codec and journal records
+//===----------------------------------------------------------------------===//
+
+void traceback::encodeStoreEntry(const SnapStoreEntry &E,
+                                 std::vector<uint8_t> &Out) {
+  ByteWriter W(Out);
+  W.writeVarU64(E.Id);
+  W.writeVarU64(E.Shard);
+  W.writeVarU64(E.Offset);
+  W.writeVarU64(E.ImageBytes);
+  W.writeU64(E.PayloadHash);
+  W.writeU64(E.Fingerprint);
+  W.writeString(E.Kind);
+  W.writeString(E.MachineName);
+  W.writeVarU64(E.MachineId);
+  W.writeString(E.ProcessName);
+  W.writeVarU64(E.Pid);
+  W.writeVarU64(E.Timestamp);
+  W.writeVarU64(E.Reason);
+  W.writeVarU64(E.RefCount);
+  W.writeU8(E.Dead ? 1 : 0);
+  W.writeVarU64(E.ModuleNames.size());
+  for (size_t I = 0; I < E.ModuleNames.size(); ++I) {
+    W.writeString(E.ModuleNames[I]);
+    W.writeU64(E.ModuleKeys[I]);
+    W.writeU8(E.ModuleInstrumented[I] ? 1 : 0);
   }
-  return H;
+  W.writeVarU64(E.Markers.size());
+  for (const std::string &M : E.Markers)
+    W.writeString(M);
 }
+
+bool traceback::decodeStoreEntry(const uint8_t *Data, size_t Len,
+                                 SnapStoreEntry &E) {
+  ByteReader R(Data, Len);
+  E.Id = R.readVarU64();
+  uint64_t Shard = R.readVarU64();
+  E.Offset = R.readVarU64();
+  E.ImageBytes = R.readVarU64();
+  E.PayloadHash = R.readU64();
+  E.Fingerprint = R.readU64();
+  E.Kind = R.readString();
+  E.MachineName = R.readString();
+  E.MachineId = R.readVarU64();
+  E.ProcessName = R.readString();
+  E.Pid = R.readVarU64();
+  E.Timestamp = R.readVarU64();
+  uint64_t Reason = R.readVarU64();
+  E.RefCount = R.readVarU64();
+  uint8_t Dead = R.readU8();
+  // A module takes at least 10 bytes and a marker 1, so a count the rest
+  // of the input cannot hold is rejected before anything is allocated.
+  uint64_t NMods = R.readVarU64();
+  if (R.failed() || Shard > UINT32_MAX || Reason > UINT16_MAX ||
+      E.RefCount == 0 || Dead > 1 || NMods > R.remaining() / 10)
+    return false;
+  E.Shard = static_cast<uint32_t>(Shard);
+  E.Reason = static_cast<uint16_t>(Reason);
+  E.Dead = Dead != 0;
+  E.ModuleNames.resize(NMods);
+  E.ModuleKeys.resize(NMods);
+  E.ModuleInstrumented.resize(NMods);
+  for (uint64_t I = 0; I < NMods; ++I) {
+    E.ModuleNames[I] = R.readString();
+    E.ModuleKeys[I] = R.readU64();
+    E.ModuleInstrumented[I] = R.readU8();
+    if (E.ModuleInstrumented[I] > 1)
+      return false;
+  }
+  uint64_t NMarks = R.readVarU64();
+  if (R.failed() || NMarks > R.remaining())
+    return false;
+  E.Markers.resize(NMarks);
+  for (std::string &M : E.Markers)
+    M = R.readString();
+  return !R.failed() && R.atEnd();
+}
+
+std::vector<uint8_t> traceback::journalAddRecord(const SnapStoreEntry &E) {
+  std::vector<uint8_t> Body{static_cast<uint8_t>(JournalRecord::Add)};
+  encodeStoreEntry(E, Body);
+  return Body;
+}
+
+std::vector<uint8_t> traceback::journalIdRecord(JournalRecord Kind,
+                                                uint64_t Id) {
+  std::vector<uint8_t> Body{static_cast<uint8_t>(Kind)};
+  ByteWriter(Body).writeVarU64(Id);
+  return Body;
+}
+
+bool traceback::decodeJournalRecord(const std::vector<uint8_t> &Body,
+                                    JournalRecord &Kind, uint64_t &Id,
+                                    SnapStoreEntry &E) {
+  if (Body.empty())
+    return false;
+  Kind = static_cast<JournalRecord>(Body[0]);
+  if (Kind == JournalRecord::Add) {
+    if (!decodeStoreEntry(Body.data() + 1, Body.size() - 1, E))
+      return false;
+    Id = E.Id;
+    return true;
+  }
+  if (Kind != JournalRecord::Ref && Kind != JournalRecord::Evict)
+    return false;
+  ByteReader R(Body.data() + 1, Body.size() - 1);
+  Id = R.readVarU64();
+  return !R.failed() && R.atEnd();
+}
+
+bool traceback::writeIndexJournal(
+    const std::string &Path,
+    const std::function<bool(SnapStoreEntry &)> &NextEntry,
+    std::string &Error) {
+  std::string Tmp = Path + ".tmp";
+  std::remove(Tmp.c_str());
+  SnapArchiveWriter W;
+  bool Ok = W.open(Tmp);
+  SnapStoreEntry E;
+  while (Ok) {
+    E = SnapStoreEntry();
+    if (!NextEntry(E))
+      break;
+    Ok = W.append(journalAddRecord(E));
+  }
+  Ok = W.close() && Ok;
+  if (Ok)
+    Ok = std::rename(Tmp.c_str(), Path.c_str()) == 0;
+  if (!Ok) {
+    std::remove(Tmp.c_str());
+    Error = "index journal write failed: " + Path;
+  }
+  return Ok;
+}
+
+//===----------------------------------------------------------------------===//
+// Checkpoint layout
+//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -56,7 +189,7 @@ uint64_t pageSum64(const uint8_t *P) {
 }
 
 constexpr uint32_t TbixMagic = 0x32584254; // "TBX2"
-constexpr uint32_t TbixVersion = 2;
+constexpr uint32_t TbixVersion = 3;
 
 /// Header field order (see serializeHeader). The header occupies page 0;
 /// everything after UsedBytes is zero padding.
@@ -80,195 +213,59 @@ constexpr size_t RegEntryBlob = 0, RegEntryDir = 1, RegKeyFirst = 2,
                  RegPostFirst = 6, RegTime = 10, RegDedup = 11,
                  RegPageSums = 12;
 
-void putU32(std::vector<uint8_t> &B, uint32_t V) {
-  const uint8_t *P = reinterpret_cast<const uint8_t *>(&V);
-  B.insert(B.end(), P, P + 4);
-}
-void putU64(std::vector<uint8_t> &B, uint64_t V) {
-  const uint8_t *P = reinterpret_cast<const uint8_t *>(&V);
-  B.insert(B.end(), P, P + 8);
-}
-void putU16(std::vector<uint8_t> &B, uint16_t V) {
-  const uint8_t *P = reinterpret_cast<const uint8_t *>(&V);
-  B.insert(B.end(), P, P + 2);
-}
-void putStr(std::vector<uint8_t> &B, const std::string &S) {
-  putU16(B, static_cast<uint16_t>(S.size()));
-  B.insert(B.end(), S.begin(), S.end());
-}
-
 std::vector<uint8_t> serializeHeader(const HeaderFields &H) {
   std::vector<uint8_t> B;
-  B.reserve(512);
-  putU32(B, TbixMagic);
-  putU32(B, TbixVersion);
-  putU32(B, static_cast<uint32_t>(TbixPageSize));
-  putU32(B, 0); // reserved
-  putU64(B, H.FileBytes);
-  putU64(B, H.EntryCount);
-  putU64(B, H.NextId);
-  putU64(B, H.LiveCount);
-  putU64(B, H.LiveBytes);
-  putU64(B, H.LiveRefs);
-  putU64(B, H.JournalBytes);
-  putU64(B, H.JournalHeadHash);
-  putU64(B, H.JournalTailHash);
+  B.reserve(TbixPageSize);
+  ByteWriter W(B);
+  W.writeU32(TbixMagic);
+  W.writeU32(TbixVersion);
+  W.writeU32(static_cast<uint32_t>(TbixPageSize));
+  W.writeU32(0); // reserved
+  for (uint64_t V : {H.FileBytes, H.EntryCount, H.NextId, H.LiveCount,
+                     H.LiveBytes, H.LiveRefs, H.JournalBytes,
+                     H.JournalHeadHash, H.JournalTailHash})
+    W.writeU64(V);
   for (const auto &R : H.Regions) {
-    putU64(B, R[0]);
-    putU64(B, R[1]);
+    W.writeU64(R[0]);
+    W.writeU64(R[1]);
   }
-  putU64(B, H.TableHash);
-  putU64(B, fnv1a64(B.data(), B.size())); // header self-hash, last field
+  W.writeU64(H.TableHash);
+  // The header's self-hash is its last field.
+  W.writeU64(fnv1a64(B.data(), B.size(), Fnv1a64ShortBasis));
   B.resize(TbixPageSize, 0);
   return B;
 }
 
-bool deserializeHeader(const uint8_t *P, size_t Len, HeaderFields &H,
-                       std::string &Why) {
-  if (Len < TbixPageSize) {
-    Why = "short header";
-    return false;
-  }
-  size_t Off = 0;
-  auto getU32 = [&]() {
-    uint32_t V;
-    std::memcpy(&V, P + Off, 4);
-    Off += 4;
-    return V;
-  };
-  auto getU64 = [&]() {
-    uint64_t V;
-    std::memcpy(&V, P + Off, 8);
-    Off += 8;
-    return V;
-  };
-  if (getU32() != TbixMagic) {
+bool deserializeHeader(const uint8_t *P, HeaderFields &H, std::string &Why) {
+  ByteReader R(P, TbixPageSize);
+  if (R.readU32() != TbixMagic) {
     Why = "bad magic";
     return false;
   }
-  if (getU32() != TbixVersion) {
+  if (R.readU32() != TbixVersion) {
     Why = "unsupported version";
     return false;
   }
-  if (getU32() != TbixPageSize) {
+  if (R.readU32() != TbixPageSize) {
     Why = "page size mismatch";
     return false;
   }
-  (void)getU32();
-  H.FileBytes = getU64();
-  H.EntryCount = getU64();
-  H.NextId = getU64();
-  H.LiveCount = getU64();
-  H.LiveBytes = getU64();
-  H.LiveRefs = getU64();
-  H.JournalBytes = getU64();
-  H.JournalHeadHash = getU64();
-  H.JournalTailHash = getU64();
-  for (auto &R : H.Regions) {
-    R[0] = getU64();
-    R[1] = getU64();
+  R.readU32(); // reserved
+  for (uint64_t *V : {&H.FileBytes, &H.EntryCount, &H.NextId, &H.LiveCount,
+                      &H.LiveBytes, &H.LiveRefs, &H.JournalBytes,
+                      &H.JournalHeadHash, &H.JournalTailHash})
+    *V = R.readU64();
+  for (auto &Reg : H.Regions) {
+    Reg[0] = R.readU64();
+    Reg[1] = R.readU64();
   }
-  H.TableHash = getU64();
-  uint64_t Stored;
-  std::memcpy(&Stored, P + Off, 8);
-  if (fnv1a64(P, Off) != Stored) {
+  H.TableHash = R.readU64();
+  size_t Hashed = R.position();
+  if (fnv1a64(P, Hashed, Fnv1a64ShortBasis) != R.readU64()) {
     Why = "header checksum mismatch";
     return false;
   }
   return true;
-}
-
-/// Serializes one entry record into \p B (appended).
-void serializeEntry(const SnapStoreEntry &E, std::vector<uint8_t> &B) {
-  putU64(B, E.Id);
-  putU32(B, E.Shard);
-  putU64(B, E.Offset);
-  putU64(B, E.ImageBytes);
-  putU64(B, E.PayloadHash);
-  putU64(B, E.Fingerprint);
-  putU64(B, E.MachineId);
-  putU64(B, E.Pid);
-  putU64(B, E.Timestamp);
-  putU16(B, E.Reason);
-  putU64(B, E.RefCount);
-  B.push_back(E.Dead ? 1 : 0);
-  putStr(B, E.Kind);
-  putStr(B, E.MachineName);
-  putStr(B, E.ProcessName);
-  putU16(B, static_cast<uint16_t>(E.ModuleNames.size()));
-  for (size_t I = 0; I < E.ModuleNames.size(); ++I) {
-    putStr(B, E.ModuleNames[I]);
-    putU64(B, E.ModuleKeys[I]);
-    B.push_back(E.ModuleInstrumented[I] ? 1 : 0);
-  }
-  putU16(B, static_cast<uint16_t>(E.Markers.size()));
-  for (const std::string &M : E.Markers)
-    putStr(B, M);
-}
-
-bool deserializeEntry(const uint8_t *P, size_t Len, SnapStoreEntry &E) {
-  size_t Off = 0;
-  auto need = [&](size_t N) { return Off + N <= Len; };
-  auto getU64 = [&](uint64_t &V) {
-    if (!need(8))
-      return false;
-    std::memcpy(&V, P + Off, 8);
-    Off += 8;
-    return true;
-  };
-  auto getU32 = [&](uint32_t &V) {
-    if (!need(4))
-      return false;
-    std::memcpy(&V, P + Off, 4);
-    Off += 4;
-    return true;
-  };
-  auto getU16 = [&](uint16_t &V) {
-    if (!need(2))
-      return false;
-    std::memcpy(&V, P + Off, 2);
-    Off += 2;
-    return true;
-  };
-  auto getU8 = [&](uint8_t &V) {
-    if (!need(1))
-      return false;
-    V = P[Off++];
-    return true;
-  };
-  auto getStr = [&](std::string &S) {
-    uint16_t N;
-    if (!getU16(N) || !need(N))
-      return false;
-    S.assign(reinterpret_cast<const char *>(P + Off), N);
-    Off += N;
-    return true;
-  };
-  uint8_t Flag = 0;
-  uint16_t NMods = 0, NMarks = 0;
-  if (!getU64(E.Id) || !getU32(E.Shard) || !getU64(E.Offset) ||
-      !getU64(E.ImageBytes) || !getU64(E.PayloadHash) ||
-      !getU64(E.Fingerprint) || !getU64(E.MachineId) || !getU64(E.Pid) ||
-      !getU64(E.Timestamp) || !getU16(E.Reason) || !getU64(E.RefCount) ||
-      !getU8(Flag) || !getStr(E.Kind) || !getStr(E.MachineName) ||
-      !getStr(E.ProcessName) || !getU16(NMods))
-    return false;
-  E.Dead = Flag != 0;
-  E.ModuleNames.resize(NMods);
-  E.ModuleKeys.resize(NMods);
-  E.ModuleInstrumented.resize(NMods);
-  for (uint16_t I = 0; I < NMods; ++I) {
-    if (!getStr(E.ModuleNames[I]) || !getU64(E.ModuleKeys[I]) ||
-        !getU8(E.ModuleInstrumented[I]))
-      return false;
-  }
-  if (!getU16(NMarks))
-    return false;
-  E.Markers.resize(NMarks);
-  for (uint16_t I = 0; I < NMarks; ++I)
-    if (!getStr(E.Markers[I]))
-      return false;
-  return Off == Len;
 }
 
 /// Streams bytes to a file while hashing each TbixPageSize-aligned page
@@ -334,7 +331,7 @@ private:
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Writer
+// Checkpoint writer
 //===----------------------------------------------------------------------===//
 
 bool traceback::writePagedIndex(
@@ -386,7 +383,7 @@ bool traceback::writePagedIndex(
       if (!NextEntry(E))
         break;
       Rec.clear();
-      serializeEntry(E, Rec);
+      encodeStoreEntry(E, Rec);
       Dir.push_back({E.Id, W.offset() - H.Regions[RegEntryBlob][0],
                      static_cast<uint32_t>(Rec.size())});
       for (size_t I = 0; I < E.ModuleKeys.size(); ++I) {
@@ -479,7 +476,7 @@ bool traceback::writePagedIndex(
   if (Ok && !Sums.empty())
     Ok = W.write(Sums.data(), Sums.size() * 8);
   H.Regions[RegPageSums][1] = W.offset() - H.Regions[RegPageSums][0];
-  H.TableHash = fnv1a64(Sums.data(), Sums.size() * 8);
+  H.TableHash = fnv1a64(Sums.data(), Sums.size() * 8, Fnv1a64ShortBasis);
   // Flush the table's trailing partial page; FileBytes is the padded,
   // page-aligned size the reader checks against.
   if (Ok)
@@ -505,7 +502,7 @@ bool traceback::writePagedIndex(
 }
 
 //===----------------------------------------------------------------------===//
-// Reader
+// Checkpoint reader
 //===----------------------------------------------------------------------===//
 
 PagedIndexReader::~PagedIndexReader() {
@@ -534,7 +531,7 @@ PagedIndexReader::open(const std::string &Path, const std::string &JournalPath,
   if (std::fread(HdrPage, 1, sizeof(HdrPage), F) != sizeof(HdrPage))
     return fail("short checkpoint header");
   HeaderFields H;
-  if (!deserializeHeader(HdrPage, sizeof(HdrPage), H, Why)) {
+  if (!deserializeHeader(HdrPage, H, Why)) {
     std::fclose(F);
     return nullptr;
   }
@@ -562,7 +559,8 @@ PagedIndexReader::open(const std::string &Path, const std::string &JournalPath,
   if (std::fseek(F, static_cast<long>(TableOff), SEEK_SET) != 0 ||
       std::fread(Sums.data(), 8, Sums.size(), F) != Sums.size())
     return fail("cannot read page-sum table");
-  if (fnv1a64(Sums.data(), Sums.size() * 8) != H.TableHash)
+  if (fnv1a64(Sums.data(), Sums.size() * 8, Fnv1a64ShortBasis) !=
+      H.TableHash)
     return fail("page-sum table hash mismatch");
   {
     if (std::fseek(F, TbixPageSize, SEEK_SET) != 0)
@@ -604,7 +602,7 @@ PagedIndexReader::open(const std::string &Path, const std::string &JournalPath,
       if (std::fseek(J, static_cast<long>(Off), SEEK_SET) != 0 ||
           std::fread(Win, 1, Len, J) != Len)
         return false;
-      Out = fnv1a64(Win, Len);
+      Out = fnv1a64(Win, Len, Fnv1a64ShortBasis);
       return true;
     };
     if (H.JournalBytes > 0) {
@@ -735,7 +733,7 @@ bool PagedIndexReader::entryByIndex(uint64_t Idx, SnapStoreEntry &Out) const {
     return false;
   std::vector<uint8_t> Rec(Len);
   return read(EntryBlob.Off + BlobOff, Len, Rec.data()) &&
-         deserializeEntry(Rec.data(), Rec.size(), Out);
+         decodeStoreEntry(Rec.data(), Rec.size(), Out);
 }
 
 bool PagedIndexReader::entryById(uint64_t Id, SnapStoreEntry &Out) const {
@@ -745,21 +743,6 @@ bool PagedIndexReader::entryById(uint64_t Id, SnapStoreEntry &Out) const {
     uint64_t MidId = readU64(EntryDir.Off + Mid * 20);
     if (MidId == Id)
       return entryByIndex(Mid, Out);
-    if (MidId < Id)
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
-  }
-  return false;
-}
-
-bool PagedIndexReader::hasEntry(uint64_t Id) const {
-  uint64_t Lo = 0, Hi = EntryCount;
-  while (Lo < Hi) {
-    uint64_t Mid = Lo + (Hi - Lo) / 2;
-    uint64_t MidId = readU64(EntryDir.Off + Mid * 20);
-    if (MidId == Id)
-      return true;
     if (MidId < Id)
       Lo = Mid + 1;
     else
@@ -801,22 +784,6 @@ bool PagedIndexReader::findPosting(TbixDim D, uint64_t Key,
 
 uint64_t PagedIndexReader::postingIdAt(const PostingRef &P, uint64_t I) const {
   return readU64(P.Off + I * 8);
-}
-
-bool PagedIndexReader::postingContains(const PostingRef &P,
-                                       uint64_t Id) const {
-  uint64_t Lo = 0, Hi = P.Count;
-  while (Lo < Hi) {
-    uint64_t Mid = Lo + (Hi - Lo) / 2;
-    uint64_t V = postingIdAt(P, Mid);
-    if (V == Id)
-      return true;
-    if (V < Id)
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
-  }
-  return false;
 }
 
 void PagedIndexReader::timeAt(uint64_t I, uint64_t &Ts, uint64_t &Id) const {

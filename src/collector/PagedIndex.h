@@ -1,30 +1,41 @@
-//===- collector/PagedIndex.h - TBIX v2 paged index checkpoint --*- C++ -*-===//
+//===- collector/PagedIndex.h - Snap index journal + checkpoint -*- C++ -*-===//
 //
 // Part of the TraceBack reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The TBIX v2 checkpoint: a binary, page-structured snapshot of a snap
-/// store's index that makes open O(tail) instead of O(history). The v1
-/// line-oriented journal (`index.tbx`) remains the crash-consistent
-/// write-ahead record of everything that ever happened to the store; the
-/// checkpoint (`index.tbx2`) is a pure accelerator written at close()
-/// and compact() time. Opening a store with a valid checkpoint loads a
-/// 4 KiB header, verifies every page's FNV-1a checksum with one
-/// sequential streaming pass (no decode, no resident state), and then
-/// replays only the journal bytes appended after the checkpoint. A
-/// corrupt, torn, or stale checkpoint is simply ignored — open degrades
-/// to full journal replay, never to wrong results.
+/// The snap store's on-disk index formats, both built on one entry
+/// codec: encodeStoreEntry() writes every SnapStoreEntry field, strings
+/// and vectors prefixed by varint lengths and counts, and
+/// decodeStoreEntry() accepts only an input it consumes exactly.
 ///
-/// File layout (all integers host-endian, fixed width):
+/// The journal (`index.tbx`) is the store's crash-consistent write-ahead
+/// record: a TBAR file (distributed/SnapArchive.h) whose frames hold one
+/// record each — a JournalRecord kind byte, then the encoded entry (Add)
+/// or an entry id varint (Ref, Evict). A crash tears at most the final
+/// frame; replay drops it, and a writable open cuts it off before
+/// appending, the torn-tail rule of every TBAR file.
+///
+/// The checkpoint (`index.tbx2`, TBX2 version 3) is a binary,
+/// page-structured snapshot of the index that makes open O(tail) instead
+/// of O(history). It is a pure accelerator written at close() and
+/// compact() time; the journal stays the complete history. Opening a
+/// store with a valid checkpoint loads a 4 KiB header, verifies every
+/// page's checksum with one sequential streaming pass (no decode, no
+/// resident state), and then replays only the journal frames appended
+/// after it. A corrupt, torn, or stale checkpoint is simply ignored —
+/// open degrades to full journal replay, never to wrong results.
+///
+/// Checkpoint layout (header and entries little-endian; the fixed-width
+/// table rows are host-order words):
 ///
 ///   page 0        header: magic "TBX2", version, page size, file size,
 ///                 entry/live/ref counts, next id, journal coverage
 ///                 (byte length + FNV of the covered prefix's first and
 ///                 last 4 KiB), one (offset, length) pair per region,
 ///                 checksum-table location/hash, header FNV.
-///   entry blob    length-prefixed entry records, ascending id.
+///   entry blob    encoded entries, ascending id.
 ///   entry dir     (id, blob offset, length) triples, ascending id —
 ///                 binary-searchable through the page cache.
 ///   key tables    per dimension (module / kind-hash / fingerprint /
@@ -62,10 +73,42 @@
 
 namespace traceback {
 
-/// FNV-1a 64 over a raw byte range (header, page-sum table and journal
-/// coverage windows; data pages use a faster word-wise hash internally).
-uint64_t fnv1a64(const void *Data, size_t Len,
-                 uint64_t Seed = 1469598103934665603ull);
+//===----------------------------------------------------------------------===//
+// Entry codec and journal records
+//===----------------------------------------------------------------------===//
+
+/// Appends \p E's encoding to \p Out. The checkpoint's entry blob and the
+/// journal's Add records hold exactly this.
+void encodeStoreEntry(const SnapStoreEntry &E, std::vector<uint8_t> &Out);
+
+/// Decodes an entry that fills exactly \p Len bytes at \p Data.
+bool decodeStoreEntry(const uint8_t *Data, size_t Len, SnapStoreEntry &E);
+
+/// The kind byte that opens every journal record.
+enum class JournalRecord : uint8_t { Add = 1, Ref = 2, Evict = 3 };
+
+/// One journal frame body: an Add record carrying \p E.
+std::vector<uint8_t> journalAddRecord(const SnapStoreEntry &E);
+
+/// One journal frame body: a Ref or Evict record naming entry \p Id.
+std::vector<uint8_t> journalIdRecord(JournalRecord Kind, uint64_t Id);
+
+/// Decodes one journal frame body. \p Id is the named entry (the new
+/// entry's id for Add); \p E is filled only for Add.
+bool decodeJournalRecord(const std::vector<uint8_t> &Body,
+                         JournalRecord &Kind, uint64_t &Id,
+                         SnapStoreEntry &E);
+
+/// Writes a journal of one Add record per entry to \p Path + ".tmp" and
+/// renames it into place. \p NextEntry yields the entries in ascending id
+/// order (returning false when exhausted), as for writePagedIndex.
+bool writeIndexJournal(const std::string &Path,
+                       const std::function<bool(SnapStoreEntry &)> &NextEntry,
+                       std::string &Error);
+
+//===----------------------------------------------------------------------===//
+// Checkpoint writer
+//===----------------------------------------------------------------------===//
 
 /// The checkpoint's fixed page size.
 constexpr size_t TbixPageSize = 4096;
@@ -77,17 +120,13 @@ constexpr size_t TbixPageSize = 4096;
 enum class TbixDim : unsigned { Module = 0, Kind = 1, Fingerprint = 2,
                                 Machine = 3 };
 
-//===----------------------------------------------------------------------===//
-// Writer
-//===----------------------------------------------------------------------===//
-
 /// Everything a checkpoint records beyond the entries themselves.
 struct PagedIndexHeaderInfo {
   uint64_t NextId = 1;
   uint64_t LiveCount = 0;
   uint64_t LiveBytes = 0;
   uint64_t LiveRefs = 0;     ///< Sum of live entries' refcounts.
-  uint64_t JournalBytes = 0; ///< v1 journal length this checkpoint covers.
+  uint64_t JournalBytes = 0; ///< Journal length this checkpoint covers.
   uint64_t JournalHeadHash = 0; ///< FNV of the prefix's first 4 KiB.
   uint64_t JournalTailHash = 0; ///< FNV of the prefix's last 4 KiB.
 };
@@ -111,7 +150,7 @@ bool writePagedIndex(const std::string &Path, const PagedIndexHeaderInfo &H,
                      std::string &Error);
 
 //===----------------------------------------------------------------------===//
-// Reader
+// Checkpoint reader
 //===----------------------------------------------------------------------===//
 
 /// Instrument sinks the page cache reports into (owned by the store).
@@ -122,7 +161,7 @@ struct PageCacheInstruments {
   Gauge *Resident = nullptr; ///< store.bytes_resident contribution.
 };
 
-/// A validated, lazily-read TBIX v2 checkpoint. Thread-safe: all page
+/// A validated, lazily-read checkpoint. Thread-safe: all page
 /// access is serialized through the cache mutex, so parallel query
 /// workers can share one reader.
 class PagedIndexReader {
@@ -154,7 +193,6 @@ public:
   }
   /// Binary-searches the directory for \p Id.
   bool entryById(uint64_t Id, SnapStoreEntry &Out) const;
-  bool hasEntry(uint64_t Id) const;
 
   /// A located posting list (byte offset of its id array + id count).
   struct PostingRef {
@@ -165,8 +203,6 @@ public:
   /// (which proves no checkpoint entry matches it).
   bool findPosting(TbixDim D, uint64_t Key, PostingRef &Out) const;
   uint64_t postingIdAt(const PostingRef &P, uint64_t I) const;
-  /// Sorted-membership probe — the intersection primitive.
-  bool postingContains(const PostingRef &P, uint64_t Id) const;
 
   /// Time table: (timestamp, id) pairs ascending.
   uint64_t timeCount() const { return TimeRows; }

@@ -8,128 +8,23 @@
 
 #include "collector/PagedIndex.h"
 #include "distributed/SnapArchive.h"
+#include "support/Fnv.h"
 #include "support/ThreadPool.h"
 #include "triage/Signature.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 
 using namespace traceback;
+namespace fs = std::filesystem;
 
-//===----------------------------------------------------------------------===//
-// TBIX v1 journal encoding
-//===----------------------------------------------------------------------===//
-//
-// Line-oriented, append-only, replayed at open:
-//
-//   TBIX v1
-//   add id=7 shard=2 off=8 bytes=312 ph=<hex16> fp=<hex16> kind=...
-//       machine=... mid=3 proc=... pid=9 ts=4400 reason=1 refs=1
-//       mod=<name>:<hex16> ... mark=<marker> ...   (one line per add)
-//   ref 7
-//   evict 7
-//
-// Values are percent-escaped (space, '%', ':', '=', control bytes) so one
-// token is always one field. A final line without its trailing newline is
-// a torn tail from a crashed collector and is dropped; malformed bytes
-// before that are corruption and fail open().
-//
-// The journal is the complete history of the store — the TBIX v2
-// checkpoint (collector/PagedIndex.h) never truncates it, it only records
-// how many journal bytes it folds in. A paged open seeks past that prefix
-// and replays just the tail; any doubt about the checkpoint falls back to
-// replaying the whole journal from byte zero.
-
-static const char *IndexHeader = "TBIX v1";
-
-static std::string escapeValue(const std::string &V) {
-  std::string Out;
-  Out.reserve(V.size());
-  static const char *Hex = "0123456789abcdef";
-  for (unsigned char C : V) {
-    if (C <= 0x20 || C == '%' || C == ':' || C == '=' || C == 0x7F) {
-      Out.push_back('%');
-      Out.push_back(Hex[C >> 4]);
-      Out.push_back(Hex[C & 15]);
-    } else {
-      Out.push_back(static_cast<char>(C));
-    }
-  }
-  return Out;
-}
-
-static int hexNibble(char C) {
-  if (C >= '0' && C <= '9')
-    return C - '0';
-  if (C >= 'a' && C <= 'f')
-    return C - 'a' + 10;
-  if (C >= 'A' && C <= 'F')
-    return C - 'A' + 10;
-  return -1;
-}
-
-static bool unescapeValue(const std::string &V, std::string &Out) {
-  Out.clear();
-  Out.reserve(V.size());
-  for (size_t I = 0; I < V.size(); ++I) {
-    if (V[I] != '%') {
-      Out.push_back(V[I]);
-      continue;
-    }
-    if (I + 2 >= V.size())
-      return false;
-    int Hi = hexNibble(V[I + 1]), Lo = hexNibble(V[I + 2]);
-    if (Hi < 0 || Lo < 0)
-      return false;
-    Out.push_back(static_cast<char>((Hi << 4) | Lo));
-    I += 2;
-  }
-  return true;
-}
-
-static bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  Out = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
-static bool parseHex64(const std::string &S, uint64_t &Out) {
-  if (S.empty() || S.size() > 16)
-    return false;
-  Out = 0;
-  for (char C : S) {
-    int N = hexNibble(C);
-    if (N < 0)
-      return false;
-    Out = (Out << 4) | static_cast<uint64_t>(N);
-  }
-  return true;
-}
-
-static std::string hex16(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-/// FNV-1a 64 over raw bytes — the payload-dedup hash. Same algorithm as
-/// triage's signatureHash, which hashes text.
-static uint64_t payloadHash(const std::vector<uint8_t> &Bytes) {
-  uint64_t H = 1469598103934665603ull;
-  for (uint8_t B : Bytes) {
-    H ^= B;
-    H *= 1099511628211ull;
-  }
-  return H;
+/// True when all of \p S spells one unsigned integer in \p Base.
+static bool parseWhole(const std::string &S, uint64_t &Out, int Base) {
+  const char *End = S.data() + S.size();
+  std::from_chars_result R = std::from_chars(S.data(), End, Out, Base);
+  return R.ec == std::errc() && R.ptr == End;
 }
 
 //===----------------------------------------------------------------------===//
@@ -139,7 +34,7 @@ static uint64_t payloadHash(const std::vector<uint8_t> &Bytes) {
 SnapQuery &SnapQuery::setModule(const std::string &NameOrHex) {
   HasModule = true;
   uint64_t Key = 0;
-  if (NameOrHex.size() == 16 && parseHex64(NameOrHex, Key))
+  if (NameOrHex.size() == 16 && parseWhole(NameOrHex, Key, 16))
     ModuleKey = Key; // A checksum key spelled as 16 hex digits.
   else
     ModuleKey = signatureHash(NameOrHex);
@@ -149,7 +44,7 @@ SnapQuery &SnapQuery::setModule(const std::string &NameOrHex) {
 SnapQuery &SnapQuery::setMachine(const std::string &NameOrId) {
   HasMachine = true;
   uint64_t Id = 0;
-  if (parseU64(NameOrId, Id))
+  if (parseWhole(NameOrId, Id, 10))
     MachineKey = Id; // A raw transport machine id.
   else
     MachineKey = signatureHash(NameOrId);
@@ -186,7 +81,7 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
     Opt.Shards = 1;
 
   std::error_code EC;
-  std::filesystem::create_directories(Dir, EC);
+  fs::create_directories(Dir, EC);
   if (EC) {
     Error = "cannot create store directory: " + Dir;
     return false;
@@ -201,28 +96,28 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
   SM.LiveEntriesG = &R.gauge("collector.store.live_entries");
   SM.LiveBytesG = &R.gauge("collector.store.live_bytes");
 
-  // Try the TBIX v2 checkpoint first. Any validation failure returns
-  // null and we fall back to replaying the whole journal — the journal
-  // is the complete history, so the fallback is always correct.
-  if (Opt.Paged) {
-    PageCacheInstruments PCI;
-    PCI.Hits = &R.counter("collector.store.page.hits");
-    PCI.Misses = &R.counter("collector.store.page.misses");
-    PCI.Evictions = &R.counter("collector.store.page.evictions");
-    PCI.Resident = &R.gauge("store.bytes_resident");
-    std::string Why;
-    Ck = PagedIndexReader::open(checkpointPath(), indexPath(),
-                                Opt.PageCacheBytes, PCI, Why);
-    if (Ck) {
-      NextId = Ck->nextId();
-      LiveCount = static_cast<size_t>(Ck->liveCount());
-      LiveBytes = Ck->liveBytes();
-      CkRefsLive = Ck->liveRefs();
-    }
+  // Try the checkpoint first. Any validation failure returns null and we
+  // fall back to replaying the whole journal — the journal is the
+  // complete history, so the fallback is always correct.
+  PageCacheInstruments PCI;
+  PCI.Hits = &R.counter("collector.store.page.hits");
+  PCI.Misses = &R.counter("collector.store.page.misses");
+  PCI.Evictions = &R.counter("collector.store.page.evictions");
+  PCI.Resident = &R.gauge("store.bytes_resident");
+  std::string Why;
+  Ck = PagedIndexReader::open(checkpointPath(), indexPath(),
+                              Opt.PageCacheBytes, PCI, Why);
+  if (Ck) {
+    NextId = Ck->nextId();
+    LiveCount = static_cast<size_t>(Ck->liveCount());
+    LiveBytes = Ck->liveBytes();
+    CkRefsLive = Ck->liveRefs();
   }
 
-  if (!replayIndex(Error))
+  if (!replayJournal(Error)) {
+    close();
     return false;
+  }
 
   // An open that could not use a checkpoint is dirty by definition: a
   // close() should leave one behind for the next open. A paged open is
@@ -239,17 +134,10 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
       }
       Shards.push_back(std::move(S));
     }
-    std::FILE *J = std::fopen(indexPath().c_str(), "ab");
-    if (!J) {
+    // A fresh journal starts with the TBAR file header.
+    Journal = std::make_unique<SnapArchiveWriter>();
+    if (!Journal->open(indexPath())) {
       Error = "cannot open index journal: " + indexPath();
-      close();
-      return false;
-    }
-    Journal = J;
-    // A fresh store starts with the format header line.
-    if (std::ftell(J) == 0 &&
-        std::fprintf(J, "%s\n", IndexHeader) < 0) {
-      Error = "cannot write index header";
       close();
       return false;
     }
@@ -263,14 +151,10 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
 
 void SnapStore::close() {
   if (Open && !Opt.ReadOnly && Dirty) {
-    if (Journal)
-      std::fflush(static_cast<std::FILE *>(Journal));
+    Journal->flush();
     writeCheckpoint();
   }
-  if (Journal) {
-    std::fclose(static_cast<std::FILE *>(Journal));
-    Journal = nullptr;
-  }
+  Journal.reset();
   Shards.clear(); // Writer destructors close the files.
   Entries.clear();
   ById.clear();
@@ -295,203 +179,82 @@ void SnapStore::close() {
   Open = false;
 }
 
-/// Splits \p Line into space-separated tokens.
-static void tokenize(const std::string &Line, std::vector<std::string> &Out) {
-  Out.clear();
-  size_t I = 0;
-  while (I < Line.size()) {
-    while (I < Line.size() && Line[I] == ' ')
-      ++I;
-    size_t Start = I;
-    while (I < Line.size() && Line[I] != ' ')
-      ++I;
-    if (I > Start)
-      Out.push_back(Line.substr(Start, I - Start));
-  }
-}
-
-bool SnapStore::replayIndex(std::string &Error) {
-  std::FILE *F = std::fopen(indexPath().c_str(), "rb");
-  if (!F)
+bool SnapStore::replayJournal(std::string &Error) {
+  std::error_code EC;
+  if (!fs::exists(indexPath(), EC))
     return true; // A store with no index yet is a valid empty store.
 
-  // Stream lines through a fixed read buffer — the journal is replayed
-  // without ever holding the whole file, matching the satellite's
-  // stream-don't-read-all discipline.
-  std::string Line;
-  std::vector<std::string> Tok;
-  char Buf[4096];
-  bool SawHeader = false, SawNewline = false, Bad = false;
-  size_t LineNo = 0;
-
-  // A paged open replays only the tail appended after the checkpoint.
-  // The covered prefix ends at a line boundary (the checkpoint hashed a
-  // fully flushed journal), so seeking lands at the start of a record.
-  if (Ck) {
-    if (std::fseek(F, static_cast<long>(Ck->journalBytes()), SEEK_SET) != 0) {
-      std::fclose(F);
-      Error = "cannot seek to index journal tail: " + indexPath();
-      return false;
-    }
-    SawHeader = true;
-  }
-
-  auto handleLine = [&]() -> bool {
-    ++LineNo;
-    if (!SawHeader) {
-      if (Line != IndexHeader)
-        return false;
-      SawHeader = true;
-      return true;
-    }
-    tokenize(Line, Tok);
-    if (Tok.empty())
-      return true;
-    if (Tok[0] == "ref" || Tok[0] == "evict") {
-      uint64_t Id = 0;
-      if (Tok.size() != 2 || !parseU64(Tok[1], Id))
-        return false;
-      auto It = ById.find(Id);
-      if (It == ById.end()) {
-        // Not a tail entry — a checkpoint entry the tail mutated.
-        if (Ck)
-          return Tok[0] == "ref" ? ckApplyRef(Id) : ckApplyEvict(Id);
+  // Stream the records: the journal is replayed without ever holding the
+  // whole file. A paged open starts at the first record the checkpoint
+  // does not cover; the reader checks the file header either way.
+  SnapArchiveReader R;
+  if (R.open(indexPath(), Ck ? Ck->journalBytes() : 0)) {
+    std::vector<uint8_t> Body;
+    uint64_t Frame = 0;
+    while (R.next(Frame, &Body)) {
+      if (!replayRecord(Body)) {
+        Error = "malformed index journal record at byte " +
+                std::to_string(Frame) + ": " + indexPath();
         return false;
       }
-      SnapStoreEntry &E = Entries[It->second];
-      if (Tok[0] == "ref")
-        ++E.RefCount;
-      else
-        markDead(E);
-      return true;
     }
-    if (Tok[0] != "add")
+    if (R.end() == SnapArchiveReader::End::Corrupt) {
+      Error = "malformed index journal at byte " +
+              std::to_string(R.intactEnd()) + ": " + indexPath();
       return false;
-    SnapStoreEntry E;
-    E.RefCount = 1;
-    for (size_t I = 1; I < Tok.size(); ++I) {
-      size_t Eq = Tok[I].find('=');
-      if (Eq == std::string::npos)
-        return false;
-      std::string Key = Tok[I].substr(0, Eq);
-      std::string Raw = Tok[I].substr(Eq + 1), Val;
-      if (!unescapeValue(Raw, Val))
-        return false;
-      uint64_t U = 0;
-      if (Key == "id") {
-        if (!parseU64(Val, E.Id))
-          return false;
-      } else if (Key == "shard") {
-        if (!parseU64(Val, U))
-          return false;
-        E.Shard = static_cast<uint32_t>(U);
-      } else if (Key == "off") {
-        if (!parseU64(Val, E.Offset))
-          return false;
-      } else if (Key == "bytes") {
-        if (!parseU64(Val, E.ImageBytes))
-          return false;
-      } else if (Key == "ph") {
-        if (!parseHex64(Val, E.PayloadHash))
-          return false;
-      } else if (Key == "fp") {
-        if (!parseHex64(Val, E.Fingerprint))
-          return false;
-      } else if (Key == "kind") {
-        E.Kind = Val;
-      } else if (Key == "machine") {
-        E.MachineName = Val;
-      } else if (Key == "mid") {
-        if (!parseU64(Val, E.MachineId))
-          return false;
-      } else if (Key == "proc") {
-        E.ProcessName = Val;
-      } else if (Key == "pid") {
-        if (!parseU64(Val, E.Pid))
-          return false;
-      } else if (Key == "ts") {
-        if (!parseU64(Val, E.Timestamp))
-          return false;
-      } else if (Key == "reason") {
-        if (!parseU64(Val, U))
-          return false;
-        E.Reason = static_cast<uint16_t>(U);
-      } else if (Key == "refs") {
-        if (!parseU64(Val, E.RefCount) || E.RefCount == 0)
-          return false;
-      } else if (Key == "mod") {
-        // <name>:<hex16 checksum>:<0|1 instrumented>. Split the *raw*
-        // token — escaping turned any ':' inside the name into %3a, so
-        // raw colons are always the separators.
-        size_t C2 = Raw.rfind(':');
-        if (C2 == std::string::npos || C2 == 0)
-          return false;
-        size_t C1 = Raw.rfind(':', C2 - 1);
-        std::string Name;
-        if (C1 == std::string::npos ||
-            !parseHex64(Raw.substr(C1 + 1, C2 - C1 - 1), U) ||
-            !unescapeValue(Raw.substr(0, C1), Name))
-          return false;
-        const std::string Flag = Raw.substr(C2 + 1);
-        if (Flag != "0" && Flag != "1")
-          return false;
-        E.ModuleNames.push_back(std::move(Name));
-        E.ModuleKeys.push_back(U);
-        E.ModuleInstrumented.push_back(Flag == "1");
-      } else if (Key == "mark") {
-        E.Markers.push_back(Val);
-      } else {
-        // Unknown key: tolerated for forward compatibility.
-      }
     }
-    if (E.Id == 0 || ById.count(E.Id))
-      return false;
-    if (Ck && (E.Id < Ck->nextId() || Ck->hasEntry(E.Id)))
-      return false; // Tail ids must all exceed checkpoint ids.
-    ById[E.Id] = Entries.size();
-    Entries.push_back(std::move(E));
-    indexEntry(Entries.back());
-    if (Entries.back().Id >= NextId)
-      NextId = Entries.back().Id + 1;
-    return true;
-  };
-
-  for (;;) {
-    size_t Got = std::fread(Buf, 1, sizeof(Buf), F);
-    if (Got == 0)
-      break;
-    for (size_t I = 0; I < Got && !Bad; ++I) {
-      if (Buf[I] == '\n') {
-        SawNewline = true;
-        if (!handleLine())
-          Bad = true;
-        Line.clear();
-      } else {
-        Line.push_back(Buf[I]);
-      }
-    }
-    if (Bad)
-      break;
-  }
-  std::fclose(F);
-  if (Bad) {
-    Error = "malformed index journal at line " + std::to_string(LineNo + 1) +
-            ": " + indexPath();
+  } else if (R.end() != SnapArchiveReader::End::TornTail) {
+    Error = "index journal is not a TBAR record log (TBIX v1 text journals "
+            "are not read): " + indexPath();
     return false;
   }
-  // A non-empty trailing fragment is a torn final line — dropped, like a
-  // torn TBAR tail. But an index whose very first line never completed is
-  // just an empty store.
-  (void)SawNewline;
+
+  // A torn final record (or a header whose first write never completed)
+  // is a crashed collector's tail: replay dropped it, and a writable
+  // open cuts it off so the next record starts where the last intact one
+  // ended.
+  if (R.end() == SnapArchiveReader::End::TornTail && !Opt.ReadOnly) {
+    fs::resize_file(indexPath(), R.intactEnd(), EC);
+    if (EC) {
+      Error = "cannot cut the torn index journal tail: " + indexPath();
+      return false;
+    }
+  }
   return true;
 }
 
-bool SnapStore::journalLine(const std::string &Line) {
-  if (!Journal)
+bool SnapStore::replayRecord(const std::vector<uint8_t> &Body) {
+  JournalRecord Kind = JournalRecord::Add;
+  uint64_t Id = 0;
+  SnapStoreEntry E;
+  if (!decodeJournalRecord(Body, Kind, Id, E))
     return false;
-  std::FILE *J = static_cast<std::FILE *>(Journal);
-  if (std::fwrite(Line.data(), 1, Line.size(), J) != Line.size() ||
-      std::fputc('\n', J) == EOF || std::fflush(J) != 0)
+  if (Kind == JournalRecord::Add) {
+    // Ids ascend through the journal, past every checkpoint id.
+    if (Id < NextId)
+      return false;
+    NextId = Id + 1;
+    ById[Id] = Entries.size();
+    Entries.push_back(std::move(E));
+    indexEntry(Entries.back());
+    return true;
+  }
+  auto It = ById.find(Id);
+  if (It == ById.end()) {
+    // Not a tail entry — a checkpoint entry the tail mutated.
+    return Ck && (Kind == JournalRecord::Ref ? ckApplyRef(Id)
+                                             : ckApplyEvict(Id));
+  }
+  SnapStoreEntry &Target = Entries[It->second];
+  if (Kind == JournalRecord::Ref)
+    ++Target.RefCount;
+  else
+    markDead(Target);
+  return true;
+}
+
+bool SnapStore::journalRecord(const std::vector<uint8_t> &Body) {
+  if (!Journal || !Journal->append(Body) || !Journal->flush())
     return false;
   Dirty = true;
   return true;
@@ -656,7 +419,7 @@ size_t SnapStore::enforceRetention() {
         continue;
       SnapStoreEntry &E = Entries[Slot->second];
       markDead(E);
-      journalLine("evict " + std::to_string(E.Id));
+      journalRecord(journalIdRecord(JournalRecord::Evict, E.Id));
       ++Evicted;
     } else {
       ++CI;
@@ -664,7 +427,7 @@ size_t SnapStore::enforceRetention() {
           Tmp.Dead)
         continue;
       ckMarkDead(Tmp);
-      journalLine("evict " + std::to_string(Tmp.Id));
+      journalRecord(journalIdRecord(JournalRecord::Evict, Tmp.Id));
       ++Evicted;
     }
   }
@@ -673,29 +436,6 @@ size_t SnapStore::enforceRetention() {
     SM.Evictions->add(Evicted);
   }
   return Evicted;
-}
-
-static std::string addRecord(const SnapStoreEntry &E) {
-  std::string L = "add id=" + std::to_string(E.Id) +
-                  " shard=" + std::to_string(E.Shard) +
-                  " off=" + std::to_string(E.Offset) +
-                  " bytes=" + std::to_string(E.ImageBytes) + " ph=" +
-                  hex16(E.PayloadHash) + " fp=" + hex16(E.Fingerprint) +
-                  " kind=" + escapeValue(E.Kind) +
-                  " machine=" + escapeValue(E.MachineName) +
-                  " mid=" + std::to_string(E.MachineId) +
-                  " proc=" + escapeValue(E.ProcessName) +
-                  " pid=" + std::to_string(E.Pid) +
-                  " ts=" + std::to_string(E.Timestamp) +
-                  " reason=" + std::to_string(E.Reason) +
-                  " refs=" + std::to_string(E.RefCount);
-  for (size_t I = 0; I < E.ModuleNames.size(); ++I)
-    L += " mod=" + escapeValue(E.ModuleNames[I]) + ":" +
-         hex16(E.ModuleKeys[I]) +
-         (E.ModuleInstrumented[I] ? ":1" : ":0");
-  for (const std::string &M : E.Markers)
-    L += " mark=" + escapeValue(M);
-  return L;
 }
 
 bool SnapStore::append(const std::vector<uint8_t> &Image,
@@ -716,7 +456,7 @@ bool SnapStore::append(const std::vector<uint8_t> &Image,
   }
   FaultSignature Sig = extractSignature(Header);
 
-  uint64_t PH = payloadHash(Image);
+  uint64_t PH = fnv1a64(Image.data(), Image.size(), Fnv1a64ShortBasis);
   uint64_t FP = Sig.fingerprint();
 
   SM.Appends->add();
@@ -746,7 +486,7 @@ bool SnapStore::append(const std::vector<uint8_t> &Image,
     }
     ++DedupHitCount;
     SM.DedupHits->add();
-    if (!journalLine("ref " + std::to_string(HitId))) {
+    if (!journalRecord(journalIdRecord(JournalRecord::Ref, HitId))) {
       if (Error)
         *Error = "index journal write failed";
       return false;
@@ -783,7 +523,7 @@ bool SnapStore::append(const std::vector<uint8_t> &Image,
       *Error = "shard append failed: " + shardPath(E.Shard);
     return false;
   }
-  if (!journalLine(addRecord(E))) {
+  if (!journalRecord(journalAddRecord(E))) {
     if (Error)
       *Error = "index journal write failed";
     return false;
@@ -1182,13 +922,14 @@ bool SnapStore::writeCheckpoint() {
         JOk = std::fseek(J, 0, SEEK_SET) == 0 &&
               std::fread(WBuf.data(), 1, WLen, J) == WLen;
         if (JOk)
-          H.JournalHeadHash = fnv1a64(WBuf.data(), WLen);
+          H.JournalHeadHash = fnv1a64(WBuf.data(), WLen, Fnv1a64ShortBasis);
         if (JOk) {
           JOk = std::fseek(J, static_cast<long>(H.JournalBytes - WLen),
                            SEEK_SET) == 0 &&
                 std::fread(WBuf.data(), 1, WLen, J) == WLen;
           if (JOk)
-            H.JournalTailHash = fnv1a64(WBuf.data(), WLen);
+            H.JournalTailHash =
+                fnv1a64(WBuf.data(), WLen, Fnv1a64ShortBasis);
         }
       }
     }
@@ -1305,37 +1046,27 @@ bool SnapStore::compact(std::string *Error) {
     }
 
     // Replace the journal with a clean snapshot of the live state.
-    if (Journal) {
-      std::fclose(static_cast<std::FILE *>(Journal));
-      Journal = nullptr;
-    }
-    std::string Tmp = indexPath() + ".tmp";
-    std::FILE *J = std::fopen(Tmp.c_str(), "wb");
-    Ok = J != nullptr;
-    if (Ok) {
-      Ok = std::fprintf(J, "%s\n", IndexHeader) >= 0;
-      for (const SnapStoreEntry &E : Entries) {
-        if (!Ok)
-          break;
-        std::string L = addRecord(E);
-        Ok = std::fwrite(L.data(), 1, L.size(), J) == L.size() &&
-             std::fputc('\n', J) != EOF;
-      }
-      Ok = std::fclose(J) == 0 && Ok;
-    }
-    if (Ok)
-      Ok = std::rename(Tmp.c_str(), indexPath().c_str()) == 0;
+    Journal->close();
+    size_t Next = 0;
+    std::string JournalErr;
+    Ok = writeIndexJournal(
+        indexPath(),
+        [&](SnapStoreEntry &Out) {
+          if (Next == Entries.size())
+            return false;
+          Out = Entries[Next++];
+          return true;
+        },
+        JournalErr);
     if (!Ok && Error)
-      *Error = "index snapshot rewrite failed";
+      *Error = JournalErr;
   }
 
-  // Reattach the appenders (journal in append mode picks up the snapshot).
+  // Reattach the appenders (the journal appends to the snapshot).
   for (unsigned SI = 0; SI < Opt.Shards; ++SI)
     if (!Shards[SI]->W.open(shardPath(SI)))
       Ok = false;
-  if (!Journal)
-    Journal = std::fopen(indexPath().c_str(), "ab");
-  if (!Journal)
+  if (!Journal->isOpen() && !Journal->open(indexPath()))
     Ok = false;
 
   // A fresh checkpoint over the compacted journal; failure just leaves

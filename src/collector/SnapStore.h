@@ -10,26 +10,27 @@
 /// whole into memory. A store is a directory of
 ///
 ///   shard-NN.tbar   sharded append-only TBAR archives (the payloads)
-///   index.tbx       the persistent content index (TBIX v1 journal)
-///   index.tbx2      paged TBIX v2 index checkpoint (optional accelerator)
+///   index.tbx       the index journal: a TBAR record log
+///   index.tbx2      the paged index checkpoint (optional accelerator)
 ///
-/// The index journal is append-only and line-oriented: `add` records one
-/// ingested snap's metadata (shard/offset/size of the payload plus every
-/// queryable key — module checksums and names, fault kind, triage
-/// signature fingerprint, machine, time), `ref` bumps a dedup refcount
-/// and `evict` tombstones a retention victim. The journal is the
-/// complete, crash-consistent history; a torn final line from a crashed
-/// collector is dropped, exactly like a torn TBAR tail.
+/// The journal is append-only: an Add record holds one ingested snap's
+/// index entry (shard/offset/size of the payload plus every queryable
+/// key — module checksums and names, fault kind, triage signature
+/// fingerprint, machine, time), a Ref record bumps a dedup refcount and
+/// an Evict record tombstones a retention victim. Both index files and
+/// their shared entry codec live in collector/PagedIndex.h. The journal
+/// is the complete, crash-consistent history; a torn final record from a
+/// crashed collector is dropped, exactly like a torn TBAR tail, and a
+/// writable open cuts it off before appending.
 ///
-/// Opening a store replays the journal — unless a valid TBIX v2
-/// checkpoint is present (see collector/PagedIndex.h), in which case
-/// open validates the checkpoint's page checksums with one streaming
-/// pass and replays only the journal tail appended after it. Checkpoint
-/// entries are then read on demand through a bounded LRU page cache, so
-/// resident index memory stays flat however large the store grows. A
-/// corrupt, torn or stale checkpoint is ignored and open degrades to
-/// full journal replay — never to wrong results. close() and compact()
-/// write a fresh checkpoint.
+/// Opening a store replays the journal — unless a valid checkpoint is
+/// present, in which case open validates the checkpoint's page checksums
+/// with one streaming pass and replays only the journal tail appended
+/// after it. Checkpoint entries are then read on demand through a
+/// bounded LRU page cache, so resident index memory stays flat however
+/// large the store grows. A corrupt, torn or stale checkpoint is ignored
+/// and open degrades to full journal replay — never to wrong results.
+/// close() and compact() write a fresh checkpoint.
 ///
 /// Query evaluation is index-only: each predicate dimension keeps a
 /// posting list (sorted entry ids per key), the planner starts from the
@@ -70,6 +71,7 @@
 namespace traceback {
 
 class PagedIndexReader;
+class SnapArchiveWriter;
 class ThreadPool;
 
 /// One indexed snap: everything a query can match on, plus where the
@@ -149,13 +151,9 @@ struct SnapStoreOptions {
   /// Age cap in timestamp units relative to the newest live entry
   /// (0 = unbounded): entries older than Newest - MaxAge are evicted.
   uint64_t MaxAge = 0;
-  /// Open for query only: no journal writer, appends fail, and close()
-  /// writes no checkpoint.
+  /// Open for query only: the journal is never written or cut, appends
+  /// fail, and close() writes no checkpoint.
   bool ReadOnly = false;
-  /// Use the TBIX v2 checkpoint at open when one is present and valid.
-  /// false forces full journal replay; checkpoints are still written at
-  /// close()/compact() so a later paged open can use them.
-  bool Paged = true;
   /// Checkpoint page-cache cap in bytes (the resident-memory bound of a
   /// paged store's index). Clamped to at least two pages.
   size_t PageCacheBytes = 2u << 20;
@@ -173,15 +171,15 @@ public:
   SnapStore &operator=(const SnapStore &) = delete;
 
   /// Opens (creating if needed) the store directory and loads the index
-  /// — checkpoint + journal tail when paged, full journal replay
-  /// otherwise. Returns false with \p Error set on malformed index data
-  /// or I/O failure.
+  /// — checkpoint + journal tail when a valid checkpoint is present, full
+  /// journal replay otherwise. Returns false with \p Error set on
+  /// malformed index data or I/O failure.
   bool open(const std::string &Dir, const SnapStoreOptions &O,
             std::string &Error);
   bool isOpen() const { return Open; }
   const std::string &directory() const { return Dir; }
-  /// True when this open used a valid TBIX v2 checkpoint (index entries
-  /// are paged from disk on demand).
+  /// True when this open used a valid checkpoint (index entries are paged
+  /// from disk on demand).
   bool openedPaged() const { return Ck != nullptr; }
   /// Writes a fresh checkpoint (writable, dirty stores), flushes and
   /// closes; the store can be reopened.
@@ -329,8 +327,13 @@ private:
   std::string shardPath(uint32_t Index) const;
   std::string indexPath() const;
   std::string checkpointPath() const;
-  bool replayIndex(std::string &Error);
-  bool journalLine(const std::string &Line);
+  /// Replays the journal (the tail past the checkpoint, when there is
+  /// one); a writable open then cuts a torn final record off.
+  bool replayJournal(std::string &Error);
+  /// Applies one journal record body; false when it is malformed.
+  bool replayRecord(const std::vector<uint8_t> &Body);
+  /// Appends and flushes one journal record body.
+  bool journalRecord(const std::vector<uint8_t> &Body);
   void indexEntry(const SnapStoreEntry &E);
   void markDead(SnapStoreEntry &E);
   /// Tombstones the dedup mapping for \p Key when it points at the dying
@@ -350,7 +353,7 @@ private:
   /// Folds checkpoint + tail into plain in-memory state (paged stores
   /// only) — the first step of compact().
   bool materializeFromCheckpoint(std::string *Error);
-  /// Writes a fresh TBIX v2 checkpoint covering the current journal.
+  /// Writes a fresh checkpoint covering the current journal.
   bool writeCheckpoint();
   /// Evicts until the byte/age caps hold. Returns how many were evicted.
   size_t enforceRetention();
@@ -411,7 +414,7 @@ private:
   bool Dirty = false;
 
   std::vector<std::unique_ptr<Shard>> Shards;
-  void *Journal = nullptr; ///< FILE*, append mode.
+  std::unique_ptr<SnapArchiveWriter> Journal; ///< Writable stores only.
 
   size_t LiveCount = 0;
   uint64_t LiveBytes = 0;

@@ -11,7 +11,6 @@
 #include "triage/SignatureStore.h"
 #include "vm/World.h"
 
-#include <algorithm>
 #include <fstream>
 
 using namespace traceback;
@@ -57,25 +56,6 @@ void ServiceDaemon::watch(Process &P, TracebackRuntime &RT,
   DM.WatchedProcesses->add(1);
 }
 
-unsigned ServiceDaemon::shardFor(const std::string &Group) const {
-  // FNV-1a: stable across runs and platforms (std::hash is neither).
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Group) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ull;
-  }
-  unsigned Shards = Ingest.Shards ? Ingest.Shards : 1;
-  return static_cast<unsigned>(H % Shards);
-}
-
-const std::string &ServiceDaemon::groupOf(uint64_t Pid) const {
-  static const std::string None;
-  for (const Watched &W : Processes)
-    if (W.P->Pid == Pid)
-      return W.Group;
-  return None;
-}
-
 void ServiceDaemon::onSnap(const std::shared_ptr<const SnapFile> &Snap) {
   DM.SnapsReceived->add();
   if (!Ingest.Async) {
@@ -84,14 +64,10 @@ void ServiceDaemon::onSnap(const std::shared_ptr<const SnapFile> &Snap) {
   }
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
-    unsigned Shards = Ingest.Shards ? Ingest.Shards : 1;
-    if (Queues.size() != Shards)
-      Queues.resize(Shards);
-    if (QueuedCount < Ingest.QueueCapacity) {
-      Queues[shardFor(groupOf(Snap->Pid))].push_back({NextSeq++, Snap});
-      ++QueuedCount;
+    if (Queue.size() < Ingest.QueueCapacity) {
+      Queue.push_back(Snap);
       DM.IngestEnqueued->add();
-      DM.IngestQueueDepth->set(static_cast<int64_t>(QueuedCount));
+      DM.IngestQueueDepth->set(static_cast<int64_t>(Queue.size()));
       return;
     }
   }
@@ -119,15 +95,10 @@ size_t ServiceDaemon::drainIngest() {
   for (;;) {
     // Take everything queued so far as one batch; delivery below may
     // enqueue GroupPeer snaps, picked up by the next iteration.
-    std::vector<Pending> Batch;
+    std::vector<std::shared_ptr<const SnapFile>> Batch;
     {
       std::lock_guard<std::mutex> Lock(QueueMutex);
-      for (std::deque<Pending> &Q : Queues) {
-        for (Pending &P : Q)
-          Batch.push_back(std::move(P));
-        Q.clear();
-      }
-      QueuedCount = 0;
+      Batch.swap(Queue);
       DM.IngestQueueDepth->set(0);
     }
     if (Batch.empty())
@@ -135,10 +106,6 @@ size_t ServiceDaemon::drainIngest() {
     if (!Drained && !Ingest.ArchivePath.empty())
       Writer.open(Ingest.ArchivePath);
     Drained = true;
-    // Shards drain merged by global arrival number, so delivery order is
-    // deterministic no matter how groups hashed across shards.
-    std::sort(Batch.begin(), Batch.end(),
-              [](const Pending &A, const Pending &B) { return A.Seq < B.Seq; });
     // Archive images are independent per snap: with a pool they serialize
     // concurrently, slot-indexed so completion order never leaks into the
     // file. Without one, a single scratch buffer is reused across the
@@ -148,7 +115,7 @@ size_t ServiceDaemon::drainIngest() {
     if (Archiving && Ingest.Pool) {
       Images.resize(Batch.size());
       parallelForIndex(Ingest.Pool, Batch.size(), [&](size_t I) {
-        Batch[I].Snap->serializeTo(Images[I]);
+        Batch[I]->serializeTo(Images[I]);
       });
     }
     std::vector<uint8_t> Scratch;
@@ -159,11 +126,11 @@ size_t ServiceDaemon::drainIngest() {
           Image = &Images[I];
         } else {
           Scratch.clear();
-          Batch[I].Snap->serializeTo(Scratch);
+          Batch[I]->serializeTo(Scratch);
           Image = &Scratch;
         }
       }
-      deliver(Batch[I].Snap, Image, Writer.isOpen() ? &Writer : nullptr);
+      deliver(Batch[I], Image, Writer.isOpen() ? &Writer : nullptr);
       DM.IngestDelivered->add();
       ++Delivered;
     }
@@ -175,7 +142,7 @@ size_t ServiceDaemon::drainIngest() {
 
 size_t ServiceDaemon::queuedSnaps() const {
   std::lock_guard<std::mutex> Lock(QueueMutex);
-  return QueuedCount;
+  return Queue.size();
 }
 
 void ServiceDaemon::deliver(const std::shared_ptr<const SnapFile> &Snap,

@@ -24,7 +24,6 @@
 #include "vm/Machine.h"
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,13 +50,10 @@ public:
     /// Queue snaps on arrival; delivery happens on drainIngest(). Group
     /// fan-out still runs at delivery time, so queued GroupPeer snaps
     /// surface on the following drain pass (drainIngest loops until the
-    /// queues are empty).
+    /// queue is empty).
     bool Async = false;
-    /// Queue shards; a snap lands in the shard of its process group, so
-    /// one chatty group cannot serialize ingestion of the others.
-    unsigned Shards = 4;
-    /// Bound on queued snaps across all shards. On overflow the snap is
-    /// spilled to SpillPath — or delivered inline when no spill archive is
+    /// Bound on queued snaps. On overflow the snap is spilled to
+    /// SpillPath — or delivered inline when no spill archive is
     /// configured; back-pressure must never drop a fault snap.
     size_t QueueCapacity = 256;
     /// Spill archive path ("" = deliver inline on overflow).
@@ -86,12 +82,12 @@ public:
   void configureIngest(const IngestOptions &O) { Ingest = O; }
   const IngestOptions &ingestOptions() const { return Ingest; }
 
-  /// Delivers every queued snap in global arrival order, looping until the
-  /// queues stay empty (delivery can enqueue GroupPeer snaps). Returns how
+  /// Delivers every queued snap in arrival order, looping until the
+  /// queue stays empty (delivery can enqueue GroupPeer snaps). Returns how
   /// many snaps were delivered. No-op when async ingestion is off.
   size_t drainIngest();
 
-  /// Snaps currently queued across all shards.
+  /// Snaps currently queued.
   size_t queuedSnaps() const;
 
   /// Registers a traced process (and its runtime) with the daemon and
@@ -124,7 +120,7 @@ public:
   /// forwarded downstream, group-snap requests executed and acked,
   /// heartbeats recorded), outstanding group requests whose peer went
   /// unreachable are converted to MISSING-PEER markers, and — in async
-  /// ingest mode — the snap queues are drained. Returns how many data
+  /// ingest mode — the snap queue is drained. Returns how many data
   /// frames the endpoint delivered.
   size_t pumpTransport();
 
@@ -162,7 +158,7 @@ public:
   /// Post-mortem collection for a process that died abruptly (kill -9):
   /// reads buffers straight out of the dead process image. Returns shared
   /// handles to the snaps produced (also forwarded downstream; in async
-  /// mode the queues are drained before returning, so the downstream sink
+  /// mode the queue is drained before returning, so the downstream sink
   /// has seen everything).
   std::vector<std::shared_ptr<const SnapFile>> collectPostMortem(Process &P);
 
@@ -173,12 +169,6 @@ private:
     std::string Group;
     uint64_t LastSample = 0;
     bool SeenSample = false;
-  };
-
-  /// One queued snap: Seq is the global arrival number delivery sorts by.
-  struct Pending {
-    uint64_t Seq;
-    std::shared_ptr<const SnapFile> Snap;
   };
 
   size_t groupSnap(const std::string &Group, uint64_t ExceptPid);
@@ -205,12 +195,6 @@ private:
   void deliver(const std::shared_ptr<const SnapFile> &Snap,
                const std::vector<uint8_t> *Image, SnapArchiveWriter *Writer);
 
-  /// Shard index for a process group name (FNV-1a; stable across runs).
-  unsigned shardFor(const std::string &Group) const;
-
-  /// The group a pid belongs to ("" when the process is not watched).
-  const std::string &groupOf(uint64_t Pid) const;
-
   Machine &M;
   SnapSink *Downstream;
   std::vector<Watched> Processes;
@@ -231,9 +215,11 @@ private:
 
   IngestOptions Ingest;
   mutable std::mutex QueueMutex;
-  std::vector<std::deque<Pending>> Queues; ///< Sized to Ingest.Shards.
-  size_t QueuedCount = 0;
-  uint64_t NextSeq = 0;
+  /// Arrival order. A vector, not a deque: a deque allocates when it is
+  /// constructed, and one more allocation per daemon moved the heap under
+  /// the execution recorder's buffer enough to cost bench_replay's
+  /// record-overhead gate about four points.
+  std::vector<std::shared_ptr<const SnapFile>> Queue;
 
   /// "daemon." instruments, resolved once at construction.
   struct Instruments {

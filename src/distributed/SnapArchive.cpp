@@ -7,6 +7,7 @@
 #include "distributed/SnapArchive.h"
 
 #include <cstdio>
+#include <cstring>
 
 using namespace traceback;
 
@@ -17,6 +18,14 @@ static const uint8_t EntryMarker = 0xA5;
 static void putU32(std::vector<uint8_t> &Out, uint32_t V) {
   for (int I = 0; I < 4; ++I)
     Out.push_back(static_cast<uint8_t>(V >> (I * 8)));
+}
+
+/// The 8-byte file header every TBAR file starts with.
+static std::vector<uint8_t> archiveHeader() {
+  std::vector<uint8_t> Header;
+  putU32(Header, ArchiveMagic);
+  putU32(Header, ArchiveVersion);
+  return Header;
 }
 
 static uint32_t getU32(const uint8_t *P) {
@@ -34,9 +43,7 @@ bool SnapArchiveWriter::open(const std::string &Path) {
   Ok = true;
   // "ab" positions at end-of-file; a fresh archive starts empty.
   if (std::ftell(File) == 0) {
-    std::vector<uint8_t> Header;
-    putU32(Header, ArchiveMagic);
-    putU32(Header, ArchiveVersion);
+    std::vector<uint8_t> Header = archiveHeader();
     Ok = std::fwrite(Header.data(), 1, Header.size(), File) ==
          Header.size();
   }
@@ -95,59 +102,89 @@ bool SnapArchive::appendSnap(const std::string &Path, const SnapFile &S) {
   return append(Path, Image);
 }
 
-static bool readAll(const std::string &Path, std::vector<uint8_t> &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  std::fseek(F, 0, SEEK_END);
-  long Size = std::ftell(F);
-  std::fseek(F, 0, SEEK_SET);
-  if (Size < 0) {
-    std::fclose(F);
-    return false;
-  }
-  Out.resize(static_cast<size_t>(Size));
-  bool Ok = Size == 0 ||
-            std::fread(Out.data(), 1, Out.size(), F) == Out.size();
-  std::fclose(F);
-  return Ok;
+SnapArchiveReader::~SnapArchiveReader() {
+  if (F)
+    std::fclose(static_cast<std::FILE *>(F));
 }
 
-/// Walks the entry frames, calling \p Fn(frame offset, image size) for
-/// each intact entry; the image starts 5 bytes past its frame. A torn
-/// final frame (crashed daemon) ends the walk cleanly.
-template <typename FnT>
-static bool walkEntries(const std::vector<uint8_t> &Bytes, FnT Fn) {
-  if (Bytes.size() < 8 || getU32(Bytes.data()) != ArchiveMagic ||
-      getU32(Bytes.data() + 4) != ArchiveVersion)
+bool SnapArchiveReader::open(const std::string &Path, uint64_t Start) {
+  if (F)
+    std::fclose(static_cast<std::FILE *>(F));
+  F = nullptr;
+  FileBytes = Pos = 0;
+  Stop = End::Corrupt;
+  std::FILE *File = std::fopen(Path.c_str(), "rb");
+  if (!File)
     return false;
-  size_t Pos = 8;
-  while (Pos < Bytes.size()) {
-    if (Bytes[Pos] != EntryMarker)
-      return false; // Mid-stream garbage is corruption, not a torn tail.
-    if (Bytes.size() - Pos < 5)
-      break;
-    uint64_t Size = getU32(Bytes.data() + Pos + 1);
-    if (Bytes.size() - Pos - 5 < Size)
-      break; // Torn tail: the last append never completed.
-    Fn(Pos, Size);
-    Pos += 5 + static_cast<size_t>(Size);
+  F = File;
+  long Size = std::fseek(File, 0, SEEK_END) == 0 ? std::ftell(File) : -1;
+  if (Size < 0 || std::fseek(File, 0, SEEK_SET) != 0)
+    return false;
+  FileBytes = static_cast<uint64_t>(Size);
+  std::vector<uint8_t> Expected = archiveHeader();
+  uint8_t Header[8];
+  size_t Want = FileBytes < sizeof(Header) ? static_cast<size_t>(FileBytes)
+                                           : sizeof(Header);
+  if (std::fread(Header, 1, Want, File) != Want ||
+      std::memcmp(Header, Expected.data(), Want) != 0)
+    return false;
+  if (Want < sizeof(Header)) {
+    Stop = End::TornTail; // The header's write never completed.
+    return false;
   }
+  Pos = Start < sizeof(Header) ? sizeof(Header) : Start;
+  if (Pos > FileBytes ||
+      std::fseek(File, static_cast<long>(Pos), SEEK_SET) != 0)
+    return false;
+  Stop = End::Clean;
+  return true;
+}
+
+bool SnapArchiveReader::next(uint64_t &FrameOffset,
+                             std::vector<uint8_t> *Body) {
+  if (!F || Stop != End::Clean || Pos == FileBytes)
+    return false;
+  std::FILE *File = static_cast<std::FILE *>(F);
+  uint8_t Head[5];
+  size_t Want = FileBytes - Pos < 5 ? static_cast<size_t>(FileBytes - Pos) : 5;
+  if (std::fread(Head, 1, Want, File) != Want || Head[0] != EntryMarker) {
+    Stop = End::Corrupt; // Mid-stream garbage is corruption, not a tail.
+    return false;
+  }
+  uint64_t Size = Want == 5 ? getU32(Head + 1) : 0;
+  if (Want < 5 || FileBytes - Pos - 5 < Size) {
+    Stop = End::TornTail; // The last append never completed.
+    return false;
+  }
+  bool Ok = true;
+  if (Body) {
+    Body->resize(static_cast<size_t>(Size));
+    Ok = Size == 0 || std::fread(Body->data(), 1, Body->size(), File) ==
+                          Body->size();
+  } else {
+    Ok = std::fseek(File, static_cast<long>(Size), SEEK_CUR) == 0;
+  }
+  if (!Ok) {
+    Stop = End::TornTail; // The file shrank under the walk.
+    return false;
+  }
+  FrameOffset = Pos;
+  Pos += 5 + Size;
   return true;
 }
 
 bool SnapArchive::list(const std::string &Path,
                        std::vector<SnapArchiveEntry> &Out) {
   Out.clear();
-  std::vector<uint8_t> Bytes;
-  if (!readAll(Path, Bytes))
+  SnapArchiveReader R;
+  if (!R.open(Path))
     return false;
-  return walkEntries(Bytes, [&](size_t Frame, uint64_t Size) {
+  uint64_t Frame = 0;
+  std::vector<uint8_t> Image;
+  while (R.next(Frame, &Image)) {
     SnapArchiveEntry E;
     E.Offset = Frame;
-    E.ImageBytes = Size;
-    std::vector<uint8_t> Image(Bytes.begin() + Frame + 5,
-                               Bytes.begin() + Frame + 5 + Size);
+    E.ImageBytes = Image.size();
     std::vector<SnapSectionStat> Stats;
     if (!snapSectionStats(Image, E.FormatVersion, Stats))
       E.FormatVersion = 0;
@@ -158,25 +195,21 @@ bool SnapArchive::list(const std::string &Path,
     E.Header.Memory.clear();
     E.Header.Telemetry.clear();
     Out.push_back(std::move(E));
-  });
+  }
+  return R.end() != SnapArchiveReader::End::Corrupt;
 }
 
 bool SnapArchive::extract(const std::string &Path, size_t Index,
                           std::vector<uint8_t> &Image) {
   Image.clear();
-  std::vector<uint8_t> Bytes;
-  if (!readAll(Path, Bytes))
+  SnapArchiveReader R;
+  if (!R.open(Path))
     return false;
-  bool Found = false;
-  size_t I = 0;
-  bool Ok = walkEntries(Bytes, [&](size_t Frame, uint64_t Size) {
-    if (I++ == Index) {
-      Image.assign(Bytes.begin() + Frame + 5,
-                   Bytes.begin() + Frame + 5 + Size);
-      Found = true;
-    }
-  });
-  return Ok && Found;
+  uint64_t Frame = 0;
+  for (size_t I = 0; R.next(Frame, I == Index ? &Image : nullptr); ++I)
+    if (I == Index)
+      return true;
+  return false;
 }
 
 bool SnapArchive::readImageAt(const std::string &Path, uint64_t FrameOffset,

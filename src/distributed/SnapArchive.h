@@ -10,11 +10,13 @@
 /// must never drop a fault snap), and the optional archival record of
 /// every snap a daemon ingested (`tbtool archive` lists and extracts).
 ///
-/// File layout: u32 magic "TBAR", u32 archive version, then entries of
-/// `u8 0xA5 marker, u32 image size, image bytes` — each image is a
-/// complete serialized snap (any supported format version). The marker
-/// byte lets a reader detect a torn tail from a crashed daemon and stop
-/// at the last intact entry instead of failing the whole archive.
+/// File layout: u32 magic "TBAR", u32 archive version, then frames of
+/// `u8 0xA5 marker, u32 body size, body bytes`. In a daemon archive or a
+/// store's payload shard each body is a complete serialized snap (any
+/// supported format version); the snap store's index journal uses the
+/// same framing for its records. The marker byte lets a reader detect a
+/// torn tail from a crashed writer and stop at the last intact frame
+/// instead of failing the whole file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +53,9 @@ public:
   static bool appendSnap(const std::string &Path, const SnapFile &S);
 
   /// Lists every intact entry, parsing each image's header (never its
-  /// payload sections). A torn final entry is ignored. Returns false only
-  /// when the file is missing or not an archive.
+  /// payload sections). A torn final entry is ignored. Returns false when
+  /// the file is missing or not an archive, or at a corrupt frame (the
+  /// entries before it are listed).
   static bool list(const std::string &Path,
                    std::vector<SnapArchiveEntry> &Out);
 
@@ -68,6 +71,45 @@ public:
   /// path: one seek, one bounded read, never the whole archive.
   static bool readImageAt(const std::string &Path, uint64_t FrameOffset,
                           uint64_t ImageBytes, std::vector<uint8_t> &Out);
+};
+
+/// Streams the frames of a TBAR file, one at a time, without reading the
+/// whole file. The torn-tail rule: a final frame the file ends inside
+/// (or a file that ends inside its own header) is a crashed writer's
+/// tail and ends the walk cleanly; a frame that does not start with the
+/// marker byte is corruption.
+class SnapArchiveReader {
+public:
+  /// How a walk ended.
+  enum class End { Clean, TornTail, Corrupt };
+
+  SnapArchiveReader() = default;
+  ~SnapArchiveReader();
+  SnapArchiveReader(const SnapArchiveReader &) = delete;
+  SnapArchiveReader &operator=(const SnapArchiveReader &) = delete;
+
+  /// Opens \p Path, checks the file header and positions at the frame
+  /// beginning at byte \p Start (0 = the first frame). Returns false when
+  /// the file cannot be read, its header is not TBAR's, or \p Start lies
+  /// past its end; end() is then TornTail for a file that ends inside a
+  /// valid header prefix, Corrupt otherwise.
+  bool open(const std::string &Path, uint64_t Start = 0);
+
+  /// Steps to the next intact frame and reports its byte offset; its
+  /// body is read into \p Body when non-null and skipped otherwise.
+  /// Returns false once the walk ends; end() says why.
+  bool next(uint64_t &FrameOffset, std::vector<uint8_t> *Body);
+
+  End end() const { return Stop; }
+  /// Byte offset just past the last intact frame (or the header) — where
+  /// a writer cuts a torn tail off before appending.
+  uint64_t intactEnd() const { return Pos; }
+
+private:
+  void *F = nullptr; ///< FILE*, kept out of this header.
+  uint64_t FileBytes = 0;
+  uint64_t Pos = 0;
+  End Stop = End::Clean;
 };
 
 /// Keeps the archive open across a batch of appends: one open/close per

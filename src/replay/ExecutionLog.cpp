@@ -7,6 +7,7 @@
 #include "replay/ExecutionLog.h"
 
 #include "support/ByteStream.h"
+#include "support/Fnv.h"
 
 using namespace traceback;
 
@@ -21,16 +22,6 @@ enum LogSection : uint8_t {
   SecEvents = 3,
   SecEnd = 4,
 };
-
-/// FNV-1a over a byte range — the END section's integrity check.
-uint64_t fnvBytes(const uint8_t *Data, size_t Size) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (size_t I = 0; I < Size; ++I) {
-    H ^= Data[I];
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
 
 void patchU32At(std::vector<uint8_t> &Out, size_t Offset, uint32_t V) {
   for (int I = 0; I < 4; ++I)
@@ -230,8 +221,8 @@ size_t beginLog(std::vector<uint8_t> &Out, const ExecutionLog &L,
 void endLog(std::vector<uint8_t> &Out, size_t EventsAt) {
   endLogSection(Out, EventsAt);
   size_t At = beginLogSection(Out, SecEnd);
-  ByteWriter(Out).writeU64(
-      fnvBytes(Out.data(), At - 1)); // Everything before SecEnd's id.
+  // The END checksum covers everything before SecEnd's id.
+  ByteWriter(Out).writeU64(fnv1a64(Out.data(), At - 1, Fnv1a64Basis));
   endLogSection(Out, At);
 }
 
@@ -328,7 +319,7 @@ bool ExecutionLog::deserialize(const std::vector<uint8_t> &Bytes,
     case SecEnd: {
       uint64_t Want = SR.readU64();
       if (!SR.failed() && SawMeta && SawGenesis &&
-          Want == fnvBytes(Bytes.data(), SecIdAt))
+          Want == fnv1a64(Bytes.data(), SecIdAt, Fnv1a64Basis))
         Out.Truncated = false;
       break;
     }

@@ -172,15 +172,6 @@ std::string FaultSignature::canonicalText() const {
   return Out;
 }
 
-uint64_t traceback::signatureHash(const std::string &Text) {
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Text) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 uint64_t FaultSignature::fingerprint() const {
   return signatureHash(canonicalText());
 }

@@ -33,6 +33,7 @@
 
 #include "reconstruct/Trace.h"
 #include "runtime/Snap.h"
+#include "support/Fnv.h"
 
 #include <cstdint>
 #include <string>
@@ -108,9 +109,11 @@ FaultSignature extractSignature(const SnapFile &Snap,
 size_t pathEditDistance(const std::vector<std::string> &A,
                         const std::vector<std::string> &B, size_t Limit);
 
-/// FNV-1a 64 over a byte string (the project-wide stable hash; std::hash
-/// is neither stable across runs nor across platforms).
-uint64_t signatureHash(const std::string &Text);
+/// FNV-1a 64 of a string with the collector and triage seed: the
+/// fingerprint hash and the store's name keys.
+inline uint64_t signatureHash(const std::string &Text) {
+  return fnv1a64(Text.data(), Text.size(), Fnv1a64ShortBasis);
+}
 
 } // namespace traceback
 

@@ -12,12 +12,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "collector/CollectorService.h"
+#include "collector/PagedIndex.h"
 #include "collector/SnapStore.h"
 #include "core/FileIO.h"
 #include "distributed/SnapArchive.h"
 #include "distributed/Transport.h"
 #include "replay/Recorder.h"
 #include "replay/ReplayDriver.h"
+#include "support/Random.h"
 #include "support/SnapSource.h"
 #include "support/ThreadPool.h"
 #include "triage/Signature.h"
@@ -145,16 +147,20 @@ TEST(SnapStoreTest, IndexRoundTripSurvivesReopen) {
   SnapStoreOptions O;
   O.Shards = 3;
   std::string Err;
+  // Names carrying every byte a text index would have to escape: space,
+  // '%', ':', '=', newline and NUL.
+  const std::string Odd[] = {"al pha", "50%", "m:1", "k=v", "two\nlines",
+                             std::string("nul\0byte", 8)};
   {
     SnapStore St;
     ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
     for (int I = 0; I < 12; ++I) {
       Remembered R;
-      R.Snap = makeSnap(I % 2 ? "alpha" : "beta", "proc", 100 + I,
-                        1000 + I * 10,
+      const std::string &Mod = Odd[(I + 2) % 6];
+      R.Snap = makeSnap(Odd[I % 6], Odd[(I + 1) % 6], 100 + I, 1000 + I * 10,
                         I % 3 == 0 ? SnapReason::Unhandled : SnapReason::Api,
-                        {{"m1", true}, {I % 2 ? "m2" : "m3", I % 2 == 0}},
-                        I % 3 == 0 ? "m1" : "");
+                        {{"m1", true}, {Mod, I % 2 == 0}},
+                        I % 3 == 0 ? Mod : "");
       R.Image = R.Snap.serialize();
       R.SrcMachineId = 7 + I % 2;
       SnapStore::AppendResult AR;
@@ -166,37 +172,55 @@ TEST(SnapStoreTest, IndexRoundTripSurvivesReopen) {
     EXPECT_EQ(St.liveEntries(), 12u);
   }
 
-  // Reopen: the journal replay must reconstruct every queryable field
-  // and every payload byte.
-  SnapStore St;
-  ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
-  EXPECT_EQ(St.totalEntries(), 12u);
-  EXPECT_EQ(St.liveEntries(), 12u);
-  for (const Remembered &R : All) {
-    const SnapStoreEntry *E = St.entry(R.Id);
-    ASSERT_NE(E, nullptr);
-    FaultSignature Sig = extractSignature(R.Snap);
-    EXPECT_EQ(E->Kind, Sig.Kind);
-    EXPECT_EQ(E->Fingerprint, Sig.fingerprint());
-    EXPECT_EQ(E->MachineName, R.Snap.MachineName);
-    EXPECT_EQ(E->MachineId, R.SrcMachineId);
-    EXPECT_EQ(E->ProcessName, R.Snap.ProcessName);
-    EXPECT_EQ(E->Pid, R.Snap.Pid);
-    EXPECT_EQ(E->Timestamp, R.Snap.Timestamp);
-    EXPECT_EQ(E->Reason, static_cast<uint16_t>(R.Snap.Reason));
-    ASSERT_EQ(E->ModuleNames.size(), R.Snap.Modules.size());
-    for (size_t M = 0; M < E->ModuleNames.size(); ++M) {
-      EXPECT_EQ(E->ModuleNames[M], R.Snap.Modules[M].Name);
-      EXPECT_EQ(E->ModuleKeys[M], R.Snap.Modules[M].Checksum.low64());
-      EXPECT_EQ(E->ModuleInstrumented[M] != 0,
-                R.Snap.Modules[M].Instrumented);
+  // Reopen through the checkpoint close() wrote, then by replaying the
+  // journal with the checkpoint removed: both must reconstruct every
+  // queryable field and every payload byte.
+  SnapStoreOptions RO = O;
+  RO.ReadOnly = true;
+  for (bool Replay : {false, true}) {
+    SCOPED_TRACE(Replay ? "journal replay" : "checkpoint");
+    if (Replay)
+      fs::remove(fs::path(Dir) / "index.tbx2");
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, RO, Err)) << Err;
+    EXPECT_EQ(St.openedPaged(), !Replay);
+    EXPECT_EQ(St.totalEntries(), 12u);
+    EXPECT_EQ(St.liveEntries(), 12u);
+    for (const Remembered &R : All) {
+      const SnapStoreEntry *E = St.entry(R.Id);
+      ASSERT_NE(E, nullptr);
+      FaultSignature Sig = extractSignature(R.Snap);
+      EXPECT_EQ(E->Kind, Sig.Kind);
+      EXPECT_EQ(E->Fingerprint, Sig.fingerprint());
+      EXPECT_EQ(E->MachineName, R.Snap.MachineName);
+      EXPECT_EQ(E->MachineId, R.SrcMachineId);
+      EXPECT_EQ(E->ProcessName, R.Snap.ProcessName);
+      EXPECT_EQ(E->Pid, R.Snap.Pid);
+      EXPECT_EQ(E->Timestamp, R.Snap.Timestamp);
+      EXPECT_EQ(E->Reason, static_cast<uint16_t>(R.Snap.Reason));
+      ASSERT_EQ(E->ModuleNames.size(), R.Snap.Modules.size());
+      for (size_t M = 0; M < E->ModuleNames.size(); ++M) {
+        EXPECT_EQ(E->ModuleNames[M], R.Snap.Modules[M].Name);
+        EXPECT_EQ(E->ModuleKeys[M], R.Snap.Modules[M].Checksum.low64());
+        EXPECT_EQ(E->ModuleInstrumented[M] != 0,
+                  R.Snap.Modules[M].Instrumented);
+      }
+      EXPECT_EQ(E->Markers, Sig.Markers);
+      std::vector<uint8_t> Img;
+      ASSERT_TRUE(St.loadImage(*E, Img));
+      EXPECT_EQ(Img, R.Image);
+      SnapFile Loaded;
+      ASSERT_TRUE(St.loadSnap(*E, Loaded));
+      EXPECT_EQ(Loaded.ProcessName, R.Snap.ProcessName);
     }
-    std::vector<uint8_t> Img;
-    ASSERT_TRUE(St.loadImage(*E, Img));
-    EXPECT_EQ(Img, R.Image);
-    SnapFile Loaded;
-    ASSERT_TRUE(St.loadSnap(*E, Loaded));
-    EXPECT_EQ(Loaded.ProcessName, R.Snap.ProcessName);
+    // Both open paths answer name predicates on the odd names.
+    for (const std::string &Name : Odd) {
+      SnapQuery ByMachine = SnapQuery().setMachine(Name);
+      SnapQuery ByModule = SnapQuery().setModule(Name);
+      EXPECT_EQ(cursorIds(St.query(ByMachine)).size(), 2u);
+      EXPECT_EQ(cursorIds(St.query(ByModule)).size(), 2u);
+      EXPECT_EQ(cursorIds(St.query(ByModule)), cursorIds(St.scan(ByModule)));
+    }
   }
 }
 
@@ -350,9 +374,9 @@ TEST(SnapStoreTest, ByteCapEvictsDeterministically) {
     ASSERT_TRUE(readFileBytes(DirB + Name, BytesB));
     EXPECT_EQ(BytesA, BytesB) << "shard " << I;
   }
-  std::string IdxA, IdxB;
-  ASSERT_TRUE(readFileText(DirA + "/index.tbx", IdxA));
-  ASSERT_TRUE(readFileText(DirB + "/index.tbx", IdxB));
+  std::vector<uint8_t> IdxA, IdxB;
+  ASSERT_TRUE(readFileBytes(DirA + "/index.tbx", IdxA));
+  ASSERT_TRUE(readFileBytes(DirB + "/index.tbx", IdxB));
   EXPECT_EQ(IdxA, IdxB);
 }
 
@@ -481,10 +505,21 @@ TEST(SnapStoreTest, QueryPredicateCombinationsMatchNaiveFilter) {
 }
 
 //===----------------------------------------------------------------------===//
-// Paged checkpoint (TBIX v2)
+// Paged checkpoint
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// A copy of store \p Dir without its checkpoint: opening the copy
+/// replays the whole journal.
+std::string replayCopy(const std::string &Dir) {
+  std::string Copy = Dir + "-replay";
+  std::error_code EC;
+  fs::remove_all(Copy, EC);
+  fs::copy(Dir, Copy, fs::copy_options::recursive);
+  fs::remove(fs::path(Copy) / "index.tbx2");
+  return Copy;
+}
 
 /// Populates \p St with a varied stream: three machines, two fault
 /// modules, scrambled timestamps, plus periodic exact-duplicate appends
@@ -558,12 +593,10 @@ TEST(PagedStoreTest, PagedOpenMatchesUnpagedAcrossReopen) {
 
   SnapStoreOptions Paged = O;
   Paged.ReadOnly = true;
-  SnapStoreOptions Unpaged = Paged;
-  Unpaged.Paged = false;
   {
     SnapStore P, U;
     ASSERT_TRUE(P.open(Dir, Paged, Err)) << Err;
-    ASSERT_TRUE(U.open(Dir, Unpaged, Err)) << Err;
+    ASSERT_TRUE(U.open(replayCopy(Dir), Paged, Err)) << Err;
     EXPECT_TRUE(P.openedPaged());
     EXPECT_FALSE(U.openedPaged());
     ASSERT_EQ(P.totalEntries(), U.totalEntries());
@@ -673,14 +706,12 @@ fn main() export {
     }
   } // close() writes the paged checkpoint.
 
-  SnapStoreOptions Paged = O;
-  Paged.ReadOnly = true;
-  SnapStoreOptions Unpaged = Paged;
-  Unpaged.Paged = false;
+  SnapStoreOptions RO = O;
+  RO.ReadOnly = true;
   for (bool UsePaged : {false, true}) {
     const char *Mode = UsePaged ? "paged" : "unpaged";
     SnapStore St;
-    ASSERT_TRUE(St.open(Dir, UsePaged ? Paged : Unpaged, Err))
+    ASSERT_TRUE(St.open(UsePaged ? Dir : replayCopy(Dir), RO, Err))
         << Mode << ": " << Err;
     EXPECT_EQ(St.openedPaged(), UsePaged);
     for (size_t I = 0; I < Ids.size(); ++I) {
@@ -720,15 +751,14 @@ TEST(PagedStoreTest, CorruptCheckpointFallsBackToJournalReplay) {
   ASSERT_TRUE(readFileBytes(JnPath, PristineJn));
   ASSERT_GT(PristineCk.size(), 8192u);
 
-  // The expected answers, from an untouched unpaged open.
+  // The expected answers, from a full replay of the untouched journal.
   SnapStoreOptions RO = O;
   RO.ReadOnly = true;
-  SnapStoreOptions UnpagedRO = RO;
-  UnpagedRO.Paged = false;
   std::vector<std::vector<uint64_t>> Expected;
   {
     SnapStore Oracle;
-    ASSERT_TRUE(Oracle.open(Dir, UnpagedRO, Err)) << Err;
+    ASSERT_TRUE(Oracle.open(replayCopy(Dir), RO, Err)) << Err;
+    EXPECT_FALSE(Oracle.openedPaged());
     for (const SnapQuery &Q : pagedQueryMix())
       Expected.push_back(cursorIds(Oracle.scan(Q)));
   }
@@ -772,7 +802,7 @@ TEST(PagedStoreTest, CorruptCheckpointFallsBackToJournalReplay) {
     // Journal shorter than the checkpoint's coverage: the checkpoint is
     // internally consistent but describes a journal that no longer
     // exists, so it must be ignored. (The replayed truncated journal
-    // simply drops its torn final line — query and scan still agree.)
+    // simply drops its torn final record — query and scan still agree.)
     ASSERT_TRUE(writeFileBytes(CkPath, PristineCk));
     std::vector<uint8_t> Jn = PristineJn;
     Jn.resize(Jn.size() - 37);
@@ -925,6 +955,191 @@ TEST(PagedStoreTest, PageCacheBoundsResidentBytesAndCounts) {
 }
 
 //===----------------------------------------------------------------------===//
+// Journal crash consistency and decoder contract
+//===----------------------------------------------------------------------===//
+
+TEST(SnapStoreTest, TornJournalTailIsCutBeforeAppend) {
+  // A collector crashed mid-append: the journal ends inside its last Add
+  // record. A writable open must cut that fragment off before the next
+  // record, or every later replay reads the new record glued onto it.
+  std::string Dir = tempStoreDir("torn-tail");
+  std::string Jn = (fs::path(Dir) / "index.tbx").string();
+  std::string Ck = (fs::path(Dir) / "index.tbx2").string();
+  auto SnapAt = [](uint64_t I) {
+    return makeSnap(I % 2 ? "alpha" : "beta", "app", 900 + I, 100 + I * 10,
+                    I % 3 ? SnapReason::Api : SnapReason::Unhandled,
+                    {{"m1", true}, {I % 2 ? "m2" : "shared", true}},
+                    I % 3 ? "" : "m1");
+  };
+  SnapStoreOptions O;
+  std::string Err;
+  uint64_t LastAddAt = 0;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    for (uint64_t I = 0; I < 3; ++I) {
+      LastAddAt = fs::file_size(Jn); // Every record is flushed.
+      SnapStore::AppendResult AR;
+      ASSERT_TRUE(St.appendSnap(SnapAt(I), 1, AR, &Err)) << Err;
+      ASSERT_FALSE(AR.Deduped);
+    }
+  }
+  fs::remove(Ck);
+  std::vector<uint8_t> Pristine;
+  ASSERT_TRUE(readFileBytes(Jn, Pristine));
+  ASSERT_LT(LastAddAt + 1, Pristine.size());
+
+  SnapStoreOptions RO = O;
+  RO.ReadOnly = true;
+  for (uint64_t Cut = LastAddAt + 1; Cut < Pristine.size(); ++Cut) {
+    SCOPED_TRACE(::testing::Message() << "cut at byte " << Cut);
+    ASSERT_TRUE(writeFileBytes(
+        Jn, std::vector<uint8_t>(Pristine.begin(), Pristine.begin() + Cut)));
+    {
+      SnapStore St;
+      ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+      EXPECT_EQ(St.totalEntries(), 2u);
+      SnapStore::AppendResult AR;
+      ASSERT_TRUE(St.appendSnap(SnapAt(3), 1, AR, &Err)) << Err;
+    }
+    fs::remove(Ck);
+    SnapStore Re;
+    ASSERT_TRUE(Re.open(Dir, RO, Err)) << Err;
+    EXPECT_EQ(Re.totalEntries(), 3u);
+    for (const SnapQuery &Q : pagedQueryMix())
+      EXPECT_EQ(cursorIds(Re.query(Q)), cursorIds(Re.scan(Q)));
+  }
+}
+
+TEST(SnapStoreTest, LongStringsSurviveCheckpoint) {
+  // A process name longer than any 16-bit length prefix can state.
+  std::string Dir = tempStoreDir("long-strings");
+  std::string LongName(70000, ' ');
+  for (size_t I = 0; I < LongName.size(); ++I)
+    LongName[I] = static_cast<char>('a' + I % 26);
+  SnapStoreOptions O;
+  std::string Err;
+  uint64_t LongId = 0;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    for (int I = 0; I < 3; ++I) {
+      SnapFile S = makeSnap("alpha", I == 1 ? LongName : "app", 40 + I,
+                            100 + I * 10, SnapReason::Api, {{"mod", true}});
+      SnapStore::AppendResult AR;
+      ASSERT_TRUE(St.appendSnap(S, 1, AR, &Err)) << Err;
+      if (I == 1)
+        LongId = AR.Id;
+    }
+  } // close() writes the checkpoint.
+  ASSERT_EQ(LongId, 2u);
+
+  SnapStoreOptions RO = O;
+  RO.ReadOnly = true;
+  for (bool Replay : {false, true}) {
+    SCOPED_TRACE(Replay ? "journal replay" : "checkpoint");
+    if (Replay)
+      fs::remove(fs::path(Dir) / "index.tbx2");
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, RO, Err)) << Err;
+    EXPECT_EQ(St.openedPaged(), !Replay);
+    EXPECT_EQ(St.liveEntries(), 3u);
+    EXPECT_EQ(cursorIds(St.scan(SnapQuery())).size(), 3u);
+    const SnapStoreEntry *E = St.entry(LongId);
+    ASSERT_NE(E, nullptr);
+    EXPECT_EQ(E->ProcessName, LongName);
+  }
+}
+
+TEST(SnapStoreTest, JournalMutantsOpenOrFailCleanly) {
+  // The journal decoder's contract over a small journal holding Add, Ref
+  // and Evict records: cut at any byte, it opens with exactly the Add
+  // records wholly before the cut; with one bit flipped, it opens with
+  // query == scan or fails with an error. Nothing crashes.
+  std::string Dir = tempStoreDir("journal-mutants");
+  std::string Jn = (fs::path(Dir) / "index.tbx").string();
+  SnapStoreOptions O;
+  O.MaxAge = 40; // Later snaps evict the oldest.
+  std::string Err;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    feedPagedStream(St, 12, /*TsBase=*/0);
+    ASSERT_GT(St.dedupHits(), 0u);
+    ASSERT_GT(St.evictions(), 0u);
+  }
+  fs::remove(fs::path(Dir) / "index.tbx2");
+  std::vector<uint8_t> Pristine;
+  ASSERT_TRUE(readFileBytes(Jn, Pristine));
+
+  // Where each Add record ends, from a walk of the pristine journal.
+  std::vector<uint64_t> AddEnds;
+  std::set<JournalRecord> Kinds;
+  {
+    SnapArchiveReader R;
+    ASSERT_TRUE(R.open(Jn));
+    std::vector<uint8_t> Body;
+    uint64_t Frame = 0;
+    while (R.next(Frame, &Body)) {
+      JournalRecord Kind = JournalRecord::Add;
+      uint64_t Id = 0;
+      SnapStoreEntry E;
+      ASSERT_TRUE(decodeJournalRecord(Body, Kind, Id, E));
+      Kinds.insert(Kind);
+      if (Kind == JournalRecord::Add)
+        AddEnds.push_back(R.intactEnd());
+    }
+    ASSERT_EQ(R.end(), SnapArchiveReader::End::Clean);
+    ASSERT_EQ(R.intactEnd(), Pristine.size());
+  }
+  ASSERT_EQ(Kinds.size(), 3u) << "the journal must hold every record kind";
+
+  SnapStoreOptions RO = O;
+  RO.ReadOnly = true;
+  for (size_t Cut = 0; Cut < Pristine.size(); ++Cut) {
+    SCOPED_TRACE(::testing::Message() << "cut at byte " << Cut);
+    ASSERT_TRUE(writeFileBytes(
+        Jn, std::vector<uint8_t>(Pristine.begin(), Pristine.begin() + Cut)));
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, RO, Err)) << Err;
+    size_t Whole = static_cast<size_t>(
+        std::upper_bound(AddEnds.begin(), AddEnds.end(), Cut) -
+        AddEnds.begin());
+    EXPECT_EQ(St.totalEntries(), Whole);
+  }
+
+  Rng Flips(testSeed() ^ 0x7b17f11bull);
+  size_t Opened = 0;
+  for (int M = 0; M < 200; ++M) {
+    std::vector<uint8_t> Mutant = Pristine;
+    uint64_t Bit = Flips.below(Mutant.size() * 8);
+    Mutant[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+    SCOPED_TRACE(::testing::Message() << "bit " << Bit);
+    ASSERT_TRUE(writeFileBytes(Jn, Mutant));
+    SnapStore St;
+    Err.clear();
+    if (!St.open(Dir, RO, Err)) {
+      EXPECT_FALSE(Err.empty());
+      continue;
+    }
+    ++Opened;
+    for (const SnapQuery &Q : pagedQueryMix())
+      EXPECT_EQ(cursorIds(St.query(Q)), cursorIds(St.scan(Q)));
+  }
+  EXPECT_GT(Opened, 0u);
+
+  // A journal in the retired line-oriented text format is refused with
+  // an error that names it.
+  std::string Text = "TBIX v1\nref 1\n";
+  ASSERT_TRUE(
+      writeFileBytes(Jn, std::vector<uint8_t>(Text.begin(), Text.end())));
+  SnapStore Old;
+  Err.clear();
+  EXPECT_FALSE(Old.open(Dir, RO, Err));
+  EXPECT_NE(Err.find("TBIX v1"), std::string::npos) << Err;
+}
+
+//===----------------------------------------------------------------------===//
 // SnapSource unification
 //===----------------------------------------------------------------------===//
 
@@ -1043,7 +1258,6 @@ TEST(CollectorServiceTest, DrainStoresInGlobalArrivalOrder) {
   SnapStore St;
   ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
   CollectorOptions CO;
-  CO.Shards = 3; // Interleave sources across shards on purpose.
   CollectorService Svc(St, CO);
 
   std::vector<uint64_t> ExpectedPids;
@@ -1057,7 +1271,42 @@ TEST(CollectorServiceTest, DrainStoresInGlobalArrivalOrder) {
   EXPECT_EQ(Svc.drain(), 12u);
   EXPECT_EQ(Svc.errors(), 0u);
 
-  // Ids ascend in arrival order, whatever shard each item queued in.
+  // Ids ascend in arrival order, whatever source each item came from.
+  std::vector<uint64_t> Pids;
+  SnapStore::Cursor Cur = St.scan(SnapQuery());
+  while (const SnapStoreEntry *E = Cur.next())
+    Pids.push_back(E->Pid);
+  EXPECT_EQ(Pids, ExpectedPids);
+}
+
+TEST(CollectorServiceTest, FullQueueDrainsInlineInArrivalOrder) {
+  std::string Dir = tempStoreDir("backpressure");
+  SnapStoreOptions O;
+  std::string Err;
+  SnapStore St;
+  ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+  MetricsRegistry Reg;
+  CollectorOptions CO;
+  CO.QueueCapacity = 4;
+  CO.Metrics = &Reg;
+  CollectorService Svc(St, CO);
+
+  // The fifth push finds the queue full: the four queued images are
+  // stored inline before it queues.
+  std::vector<uint64_t> ExpectedPids;
+  for (int I = 0; I < 5; ++I) {
+    SnapFile S = makeSnap("m", "app", 600 + I, 100 + I, SnapReason::Api,
+                          {{"mod", true}});
+    ASSERT_TRUE(Svc.push(S.serialize(), /*SrcMachineId=*/3));
+    ExpectedPids.push_back(600 + static_cast<uint64_t>(I));
+  }
+  EXPECT_EQ(Reg.counter("collector.ingest.inline_drains").value(), 1u);
+  EXPECT_EQ(Svc.pending(), 1u);
+  EXPECT_EQ(St.totalEntries(), 4u);
+  EXPECT_EQ(Svc.drain(), 1u);
+  EXPECT_EQ(Svc.ingested(), 5u);
+  EXPECT_EQ(Svc.errors(), 0u);
+
   std::vector<uint64_t> Pids;
   SnapStore::Cursor Cur = St.scan(SnapQuery());
   while (const SnapStoreEntry *E = Cur.next())
@@ -1227,16 +1476,18 @@ TEST(CollectorChaosSweepTest, HundredSeedsIndexMatchesLinearScan) {
           "machine+window");
     }
 
-    // Reopen the same store through the TBIX v2 checkpoint on even
-    // seeds and via full journal replay on odd ones: the equivalence
-    // must be open-path-independent, serial or parallel.
+    // Reopen the same store through the checkpoint on even seeds and
+    // via full journal replay (checkpoint removed) on odd ones: the
+    // equivalence must be open-path-independent, serial or parallel.
     St.close(); // Writes the checkpoint.
+    bool Paged = I % 2 == 0;
+    if (!Paged)
+      fs::remove(fs::path(Dir) / "index.tbx2");
     SnapStoreOptions RO = O;
     RO.ReadOnly = true;
-    RO.Paged = I % 2 == 0;
     SnapStore Re;
     ASSERT_TRUE(Re.open(Dir, RO, Err)) << Err;
-    EXPECT_EQ(Re.openedPaged(), RO.Paged);
+    EXPECT_EQ(Re.openedPaged(), Paged);
     expectQueryEqualsScan(Re, SnapQuery(), "reopen-all");
     expectQueryEqualsScan(Re, SnapQuery().setMachine("alpha"),
                           "reopen-machine");

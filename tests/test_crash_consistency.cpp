@@ -144,7 +144,7 @@ TEST(CrashConsistencyTest, KillSweepRecoversGoldenPrefix) {
     S.D.world().Injector = &FI;
     ServiceDaemon *Daemon = S.D.daemonFor(*S.M);
     ASSERT_NE(Daemon, nullptr);
-    // Half the sweep ingests through the sharded async queue
+    // Half the sweep ingests through the async queue
     // (collectPostMortem drains it before returning), so the kill points
     // also cover the queued-delivery path.
     if (Run % 2) {

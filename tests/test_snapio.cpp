@@ -6,7 +6,7 @@
 // per-section compression), version compatibility of the serialized
 // snap image, a fuzz corpus of damaged images (every byte of a snap may
 // cross a machine boundary or a crashed daemon's disk), the append-only
-// archive, and the daemon's sharded async ingestion with back-pressure.
+// archive, and the daemon's async ingestion with back-pressure.
 // Runs in the `snapio` ctest label; seeds replay via TRACEBACK_TEST_SEED.
 //
 //===----------------------------------------------------------------------===//
@@ -808,7 +808,7 @@ TEST(DaemonIngestTest, AsyncDrainDeliversFaultThenGroupPeers) {
   Daemon->configureIngest(O);
 
   Rig.run();
-  // The snap is parked in the shard queue until the daemon drains: no
+  // The snap is parked in the ingest queue until the daemon drains: no
   // downstream delivery yet, and no group fan-out.
   EXPECT_TRUE(Rig.D.snaps().empty());
   EXPECT_EQ(Daemon->queuedSnaps(), 1u);
