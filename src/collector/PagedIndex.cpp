@@ -8,7 +8,7 @@
 
 #include "distributed/SnapArchive.h"
 #include "support/ByteStream.h"
-#include "support/Fnv.h"
+#include "support/Hash.h"
 #include "triage/Signature.h"
 
 #include <algorithm>

@@ -8,7 +8,7 @@
 
 #include "collector/PagedIndex.h"
 #include "distributed/SnapArchive.h"
-#include "support/Fnv.h"
+#include "support/Hash.h"
 #include "support/ThreadPool.h"
 #include "triage/Signature.h"
 
@@ -456,7 +456,7 @@ bool SnapStore::append(const std::vector<uint8_t> &Image,
   }
   FaultSignature Sig = extractSignature(Header);
 
-  uint64_t PH = fnv1a64(Image.data(), Image.size(), Fnv1a64ShortBasis);
+  uint64_t PH = hash64(Image.data(), Image.size(), 0);
   uint64_t FP = Sig.fingerprint();
 
   SM.Appends->add();

@@ -82,7 +82,10 @@ struct SnapStoreEntry {
   uint32_t Shard = 0;      ///< Which shard-NN.tbar holds the payload.
   uint64_t Offset = 0;     ///< Frame offset within the shard.
   uint64_t ImageBytes = 0; ///< Serialized image size.
-  uint64_t PayloadHash = 0; ///< FNV-1a 64 of the image bytes.
+  /// XXH64 (seed 0) of the image bytes: with Fingerprint the dedup key,
+  /// and the shard choice. Entries of stores written before the key
+  /// became XXH64 keep their FNV-1a 64 value; no load path checks it.
+  uint64_t PayloadHash = 0;
   uint64_t Fingerprint = 0; ///< Header-level triage signature fingerprint.
   std::string Kind;         ///< Signature kind ("fault:<code>@<mod>", ...).
   std::string MachineName;  ///< Producing machine (from the snap header).

@@ -33,6 +33,12 @@ TransportEndpoint::TransportEndpoint(World &W, uint64_t MachineId,
 
 uint64_t TransportEndpoint::send(FrameType Type, uint64_t Dst,
                                  std::vector<uint8_t> Payload) {
+  // The receiver would reject the frame as corrupt, and the retries would
+  // write off the whole window with it: refuse it here instead.
+  if (Payload.size() > MaxFramePayload) {
+    NM.SendsRefused->add();
+    return 0;
+  }
   Channel &C = Channels[Dst];
   if (C.Unreachable) {
     // The caller degrades instead of blocking: a refused send is an

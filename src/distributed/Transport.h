@@ -70,8 +70,9 @@ public:
 
   /// Reliable send of one data frame to machine \p Dst. Returns the
   /// assigned channel sequence number, or 0 when the send was refused
-  /// because \p Dst is currently considered unreachable (the caller
-  /// degrades; it does not block).
+  /// because \p Dst is currently considered unreachable or \p Payload
+  /// is over MaxFramePayload (the caller degrades; it does not block).
+  /// A refused send leaves the channel as it was.
   uint64_t send(FrameType Type, uint64_t Dst, std::vector<uint8_t> Payload);
 
   /// Invoked for every newly delivered in-order data frame.

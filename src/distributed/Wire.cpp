@@ -7,6 +7,7 @@
 #include "distributed/Wire.h"
 
 #include "support/ByteStream.h"
+#include "support/Hash.h"
 #include "support/Text.h"
 
 using namespace traceback;
@@ -14,26 +15,17 @@ using namespace traceback;
 namespace {
 
 constexpr uint32_t FrameMagic = 0x464E4254; // "TBNF", little endian.
-constexpr uint16_t FrameVersion = 1;
+/// Version 2 replaced version 1's byte-serial FNV-1a checksum with CRC32C;
+/// the layout is unchanged.
+constexpr uint16_t FrameVersion = 2;
 
-/// FNV-1a: cheap, deterministic, and enough to catch the bit flips the
-/// fault injector (and the fuzz corpus) produce. The frame checksum
-/// covers the header fields AND the payload, so a flipped sequence
-/// number is rejected just like a flipped payload byte.
-uint32_t fnv1a(uint32_t H, const uint8_t *Data, size_t Size) {
-  for (size_t I = 0; I < Size; ++I) {
-    H ^= Data[I];
-    H *= 16777619u;
-  }
-  return H;
-}
-
-constexpr uint32_t FnvInit = 2166136261u;
-
+/// CRC32C over the header fields up to the checksum field, then the
+/// payload, so a flipped sequence number is rejected just like a flipped
+/// payload byte.
 uint32_t frameChecksum(const uint8_t *Header, size_t HeaderSize,
                        const std::vector<uint8_t> &Payload) {
-  uint32_t H = fnv1a(FnvInit, Header, HeaderSize);
-  return fnv1a(H, Payload.data(), Payload.size());
+  return crc32c(crc32c(0, Header, HeaderSize), Payload.data(),
+                Payload.size());
 }
 
 } // namespace

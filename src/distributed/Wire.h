@@ -9,10 +9,18 @@
 /// datagram on the simulated network fabric carries exactly one frame —
 /// a snap push, a group-snap request/ack, a peer heartbeat, or a bare
 /// acknowledgement. Frames carry per-channel sequence numbers (assigned
-/// by distributed/Transport) plus a payload checksum, and the decoder is
-/// fully defensive: truncated, bit-flipped or oversized-length input
-/// must produce an error, never a crash — damaged frames are the normal
-/// weather of the network this transport is built for.
+/// by distributed/Transport) plus a CRC32C checksum over the header and
+/// the payload, and the decoder is fully defensive: truncated,
+/// bit-flipped or oversized-length input must produce an error, never a
+/// crash — damaged frames are the normal weather of the network this
+/// transport is built for.
+///
+/// The checksum field sits between the header and the payload. CRC32C
+/// detects every single-bit flip in a frame, and every burst of up to 32
+/// flipped bits that lies wholly inside the header, the checksum field
+/// or the payload. A burst that straddles the checksum field escapes
+/// with probability 2^-32. Version 1 frames, checksummed with FNV-1a,
+/// are rejected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,9 +57,9 @@ struct WireFrame {
   std::vector<uint8_t> Payload;
 };
 
-/// Frames bigger than this are rejected on decode: no snap image
-/// approaches it, and it caps what a corrupted length field can ask the
-/// decoder to allocate.
+/// Payloads bigger than this are refused by TransportEndpoint::send and
+/// rejected on decode: no snap image approaches it, and it caps what a
+/// corrupted length field can ask the decoder to allocate.
 constexpr uint32_t MaxFramePayload = 64u << 20;
 
 /// Appends the encoded frame to \p Out.

@@ -7,7 +7,7 @@
 #include "replay/ExecutionLog.h"
 
 #include "support/ByteStream.h"
-#include "support/Fnv.h"
+#include "support/Hash.h"
 
 using namespace traceback;
 

@@ -33,7 +33,7 @@
 
 #include "reconstruct/Trace.h"
 #include "runtime/Snap.h"
-#include "support/Fnv.h"
+#include "support/Hash.h"
 
 #include <cstdint>
 #include <string>

@@ -6,12 +6,15 @@
 
 #include "support/ByteStream.h"
 #include "support/Compress.h"
+#include "support/Hash.h"
 #include "support/MD5.h"
 #include "support/Random.h"
 #include "support/SimClock.h"
 #include "support/Text.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace traceback;
 
@@ -58,6 +61,69 @@ TEST(MD5Test, HexRoundTrip) {
   EXPECT_EQ(D, Back);
   EXPECT_FALSE(MD5Digest::fromHex("zz", Back));
   EXPECT_FALSE(MD5Digest::fromHex(std::string(32, 'g'), Back));
+}
+
+TEST(HashTest, Crc32cKnownAnswers) {
+  EXPECT_EQ(crc32c(0, "123456789", 9), 0xE3069283u);
+  // RFC 3720 (iSCSI) section B.4, 32-byte inputs.
+  uint8_t Buf[32];
+  std::memset(Buf, 0, sizeof(Buf));
+  EXPECT_EQ(crc32c(0, Buf, 32), 0x8A9136AAu);
+  std::memset(Buf, 0xff, sizeof(Buf));
+  EXPECT_EQ(crc32c(0, Buf, 32), 0x62A8AB43u);
+  for (int I = 0; I < 32; ++I)
+    Buf[I] = static_cast<uint8_t>(I);
+  EXPECT_EQ(crc32c(0, Buf, 32), 0x46DD794Eu);
+  for (int I = 0; I < 32; ++I)
+    Buf[I] = static_cast<uint8_t>(31 - I);
+  EXPECT_EQ(crc32c(0, Buf, 32), 0x113FDB5Cu);
+  EXPECT_EQ(crc32c(0, Buf, 0), 0u);
+}
+
+TEST(HashTest, Crc32cContinuesAcrossSplits) {
+  std::vector<uint8_t> Data(300);
+  Rng Rand(11);
+  for (uint8_t &B : Data)
+    B = static_cast<uint8_t>(Rand.next());
+  uint32_t Whole = crc32c(0, Data.data(), Data.size());
+  for (size_t Cut = 0; Cut <= Data.size(); ++Cut)
+    EXPECT_EQ(crc32c(crc32c(0, Data.data(), Cut), Data.data() + Cut,
+                     Data.size() - Cut),
+              Whole)
+        << "split at " << Cut;
+}
+
+TEST(HashTest, Crc32cTablePathMatchesDispatchedPath) {
+  // crc32c runs the SSE4.2 instruction on hosts that have it; there this
+  // holds it to the table path at every length and alignment its loops
+  // split differently. Elsewhere both calls run the table path.
+  std::vector<uint8_t> Data(300 + 8);
+  Rng Rand(12);
+  for (uint8_t &B : Data)
+    B = static_cast<uint8_t>(Rand.next());
+  for (size_t Off = 0; Off < 8; ++Off)
+    for (size_t Len = 0; Len <= 300; ++Len)
+      ASSERT_EQ(crc32c(0x1234567u, Data.data() + Off, Len),
+                crc32cPortable(0x1234567u, Data.data() + Off, Len))
+          << "offset " << Off << " length " << Len;
+}
+
+TEST(HashTest, Hash64KnownAnswersAndBitSensitivity) {
+  EXPECT_EQ(hash64("", 0, 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(hash64("abc", 3, 0), 0x44BC2CF5AD770999ull);
+  const char *Long = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(hash64(Long, std::strlen(Long), 0), 0xFBCEA83C8A378BF1ull);
+  std::vector<uint8_t> Data(300);
+  Rng Rand(13);
+  for (uint8_t &B : Data)
+    B = static_cast<uint8_t>(Rand.next());
+  uint64_t Base = hash64(Data.data(), Data.size(), 0);
+  EXPECT_NE(hash64(Data.data(), Data.size(), 1), Base);
+  for (size_t Bit = 0; Bit < Data.size() * 8; ++Bit) {
+    Data[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+    EXPECT_NE(hash64(Data.data(), Data.size(), 0), Base) << "bit " << Bit;
+    Data[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+  }
 }
 
 TEST(ByteStreamTest, PrimitivesRoundTrip) {

@@ -188,19 +188,43 @@ TEST(WireFrameTest, EveryTruncationIsRejected) {
 }
 
 TEST(WireFrameTest, EverySingleBitFlipIsRejected) {
-  // The checksum covers header fields and payload; FNV-1a's per-byte steps
-  // are bijective, so any single corrupted byte must change the sum. A
-  // flip inside the stored checksum itself mismatches the recomputation.
+  // The CRC32C covers the header fields and the payload. A CRC detects
+  // every burst of up to 32 flipped bits in what it covers, and a burst
+  // inside the stored checksum mismatches the recomputation; so every
+  // single flip, and every burst lying wholly inside the header, the
+  // checksum field or the payload, must be rejected. This 51-byte frame
+  // also has its bursts that straddle the checksum field rejected; the
+  // CRC only makes those unlikely to pass (2^-32), and the bytes here
+  // are fixed, so they are asserted too.
   WireFrame In = makeFrame(FrameType::GroupSnapRequest, 3, {0xde, 0xad, 0});
   std::vector<uint8_t> Bytes;
   encodeFrame(In, Bytes);
-  for (size_t Bit = 0; Bit < Bytes.size() * 8; ++Bit) {
-    std::vector<uint8_t> Hit = Bytes;
-    Hit[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
-    WireFrame Out;
-    std::string Error;
-    EXPECT_FALSE(decodeFrame(Hit, Out, Error)) << "bit " << Bit;
-  }
+  ASSERT_EQ(Bytes.size(), 51u);
+  const size_t Bits = Bytes.size() * 8;
+  for (size_t Burst = 1; Burst <= 32; ++Burst)
+    for (size_t Start = 0; Start + Burst <= Bits; ++Start) {
+      std::vector<uint8_t> Hit = Bytes;
+      for (size_t Bit = Start; Bit < Start + Burst; ++Bit)
+        Hit[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+      WireFrame Out;
+      std::string Error;
+      EXPECT_FALSE(decodeFrame(Hit, Out, Error))
+          << Burst << " bits from bit " << Start;
+    }
+}
+
+TEST(WireFrameTest, VersionOneFrameIsRejected) {
+  // Version 1 frames carried an FNV-1a checksum; the layout is the same,
+  // so only the version field tells them apart.
+  WireFrame In = makeFrame(FrameType::SnapPush, 1, {1, 2, 3});
+  std::vector<uint8_t> Bytes;
+  encodeFrame(In, Bytes);
+  Bytes[4] = 1;
+  Bytes[5] = 0;
+  WireFrame Out;
+  std::string Error;
+  EXPECT_FALSE(decodeFrame(Bytes, Out, Error));
+  EXPECT_EQ(Error, "unsupported frame version 1");
 }
 
 TEST(WireFrameTest, OversizedLengthFieldIsRejected) {
@@ -377,6 +401,26 @@ TEST(TransportTest, HealedChannelRecoversViaGapSkip) {
   ASSERT_TRUE(F.pumpUntilQuiet());
   ASSERT_EQ(F.GotB.size(), 2u);
   EXPECT_EQ(F.GotB[1], F.payload(43));
+}
+
+TEST(TransportTest, OversizedPayloadIsRefusedNotWrittenOff) {
+  // The receiver rejects a payload over MaxFramePayload as corrupt, so a
+  // sent one would be retried until the peer was written off, taking the
+  // frames queued behind it along. The sender refuses it instead.
+  Fabric F;
+  std::vector<uint8_t> Small1(64, 0x11), Small2(64, 0x22);
+  EXPECT_EQ(F.A.send(FrameType::SnapPush, F.MB->Id, Small1), 1u);
+  EXPECT_EQ(F.A.send(FrameType::SnapPush, F.MB->Id,
+                     std::vector<uint8_t>(size_t{MaxFramePayload} + 1)),
+            0u);
+  EXPECT_EQ(F.A.send(FrameType::SnapPush, F.MB->Id, Small2), 2u);
+  ASSERT_TRUE(F.pumpUntilQuiet());
+  ASSERT_EQ(F.GotB.size(), 2u);
+  EXPECT_EQ(F.GotB[0], Small1);
+  EXPECT_EQ(F.GotB[1], Small2);
+  EXPECT_FALSE(F.A.peerUnreachable(F.MB->Id));
+  EXPECT_EQ(F.A.lostFrames(F.MB->Id), 0u);
+  EXPECT_EQ(F.Reg.counter("daemon.net.sends_refused").value(), 1u);
 }
 
 TEST(TransportTest, CorruptDatagramsAreCountedAndDropped) {
