@@ -12,6 +12,7 @@
 #include "triage/Signature.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -166,7 +167,10 @@ namespace {
 /// word-wise with four independent dependency chains instead of FNV's
 /// serial byte chain — same fixed-page granularity, ~an order of
 /// magnitude faster. FNV-1a stays the hash for the small inputs (header,
-/// page-sum table, journal windows) where simplicity wins.
+/// page-sum table, journal windows) where simplicity wins. The lane step
+/// rotates before it multiplies, as XXH64's round does: without it a
+/// difference in bit 63 stays in bit 63, and two bit-63 flips in one lane
+/// (32 bytes apart) cancel.
 uint64_t pageSum64(const uint8_t *P) {
   constexpr uint64_t M = 0x9ddfea08eb382d69ull;
   uint64_t H0 = 0x9e3779b97f4a7c15ull, H1 = 0xc2b2ae3d27d4eb4full,
@@ -177,10 +181,10 @@ uint64_t pageSum64(const uint8_t *P) {
     std::memcpy(&W1, P + I + 8, 8);
     std::memcpy(&W2, P + I + 16, 8);
     std::memcpy(&W3, P + I + 24, 8);
-    H0 = (H0 ^ W0) * M;
-    H1 = (H1 ^ W1) * M;
-    H2 = (H2 ^ W2) * M;
-    H3 = (H3 ^ W3) * M;
+    H0 = std::rotl(H0 ^ W0, 31) * M;
+    H1 = std::rotl(H1 ^ W1, 31) * M;
+    H2 = std::rotl(H2 ^ W2, 31) * M;
+    H3 = std::rotl(H3 ^ W3, 31) * M;
   }
   uint64_t H = (H0 ^ (H1 >> 29)) * M + H1;
   H = (H ^ (H2 >> 29)) * M + H2;
@@ -189,7 +193,9 @@ uint64_t pageSum64(const uint8_t *P) {
 }
 
 constexpr uint32_t TbixMagic = 0x32584254; // "TBX2"
-constexpr uint32_t TbixVersion = 3;
+/// Version 4 added pageSum64's rotate. An older checkpoint fails open as
+/// "unsupported version" and the store replays its journal instead.
+constexpr uint32_t TbixVersion = 4;
 
 /// Header field order (see serializeHeader). The header occupies page 0;
 /// everything after UsedBytes is zero padding.

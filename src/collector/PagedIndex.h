@@ -17,7 +17,7 @@
 /// frame; replay drops it, and a writable open cuts it off before
 /// appending, the torn-tail rule of every TBAR file.
 ///
-/// The checkpoint (`index.tbx2`, TBX2 version 3) is a binary,
+/// The checkpoint (`index.tbx2`, TBX2 version 4) is a binary,
 /// page-structured snapshot of the index that makes open O(tail) instead
 /// of O(history). It is a pure accelerator written at close() and
 /// compact() time; the journal stays the complete history. Opening a
@@ -46,8 +46,9 @@
 ///   dedup table   (fingerprint, payload hash, id) rows sorted by key —
 ///                 the append path's dedup probe, O(log n) page reads.
 ///   page sums     one 64-bit word-wise checksum per data page (pages
-///                 1..tableStart-1); the table itself is covered by an
-///                 FNV hash in the header.
+///                 1..tableStart-1; its lane step rotates since version
+///                 4); the table itself is covered by an FNV hash in the
+///                 header.
 ///
 /// Readers never materialize a region: every access goes through a
 /// bounded LRU page cache (instrumented as store.page.{hits,misses,

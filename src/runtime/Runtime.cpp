@@ -712,6 +712,7 @@ TracebackRuntime::takeSnap(SnapReason Reason, uint16_t Detail) {
     S.Modules.push_back(std::move(MI));
   }
 
+  std::vector<ZeroRange> NeverWritten;
   auto CaptureBuffer = [&](const RtBuffer &B) {
     SnapBufferImage Img;
     Img.Index = B.Index;
@@ -725,10 +726,17 @@ TracebackRuntime::takeSnap(SnapReason Reason, uint16_t Detail) {
     Img.CommittedSubBuffer =
         P.Mem.read32(B.RecordsBase - BufHeaderBytes + 16, Ok);
     Img.OwnerThread = P.Mem.read64(B.RecordsBase - BufHeaderBytes + 24, Ok);
-    // readInto touches each captured byte once (no resize zero-fill):
-    // this copy runs once per buffer per group-snap member, so the extra
-    // memset pass was a measurable slice of snap latency.
-    P.Mem.readInto(B.RecordsBase, B.totalWords() * 4, Img.Raw);
+    // readInto touches each captured byte once (no resize zero-fill) and
+    // appends pages nothing has written without reading them: this copy
+    // runs once per buffer per group-snap member, and most of a ring is
+    // space the thread has not reached.
+    P.Mem.readInto(B.RecordsBase, B.totalWords() * 4, Img.Raw, &NeverWritten);
+    // Pre-encode while the bytes are cache-hot and the page table still
+    // says which of them were never written: the daemon's archive path
+    // serializes this snap well after capture, when re-reading the raw
+    // words would miss. The encoder steps over those ranges instead of
+    // scanning them, and writes the stream an unhinted encode would.
+    snapEncodeTo(Img.Raw.data(), Img.Raw.size(), Img.Encoded, NeverWritten);
     S.Buffers.push_back(std::move(Img));
   };
   for (const RtBuffer &B : Buffers)
@@ -774,17 +782,11 @@ TracebackRuntime::takeSnap(SnapReason Reason, uint16_t Detail) {
 
   // An attached fault injector may damage the captured image before it
   // reaches any sink — modeling disk corruption between capture and read.
+  // It clears Encoded on every buffer it damages, so serialization
+  // re-encodes those from the damaged Raw, unhinted: a hint never
+  // describes bytes the injector changed.
   if (FaultInjector *FI = P.Host->Owner->Injector)
     FI->onSnapCapture(S);
-
-  // Pre-encode each buffer image while its bytes are still in cache: the
-  // daemon's archive path serializes this snap well after capture, when
-  // re-reading the raw words would miss. Done after injector damage so the
-  // cached stream always matches Raw.
-  for (SnapBufferImage &B : S.Buffers) {
-    B.Encoded.clear();
-    snapEncodeTo(B.Raw.data(), B.Raw.size(), B.Encoded);
-  }
 
   ++Stat.SnapsTaken;
   uint64_t Owned = 0;
@@ -802,7 +804,7 @@ TracebackRuntime::takeSnap(SnapReason Reason, uint16_t Detail) {
   // recovered traces; it is embedded after injector damage so a corrupted
   // snap still carries intact self-diagnostics.
   syncMetrics();
-  S.setTelemetry(Reg.snapshot());
+  S.setTelemetry(Reg);
 
   // Anchor this capture in the execution record and, when recording is
   // on, embed the log so the snap becomes a re-executable test case. The

@@ -614,28 +614,32 @@ bool traceback::snapSectionStats(const std::vector<uint8_t> &Bytes,
 static constexpr size_t TelemetryChunkBytes = 83 * 8;
 
 std::vector<uint32_t> traceback::encodeTelemetryRecords(const std::string &Json) {
+  const size_t Chunks =
+      Json.empty() ? 1 : (Json.size() + TelemetryChunkBytes - 1) /
+                             TelemetryChunkBytes;
   std::vector<uint32_t> Out;
+  // Per chunk: a header word, the byte count, and the bytes eight per
+  // payload u64 (the last one partial).
+  Out.reserve(Chunks + extContinuationWords(static_cast<unsigned>(
+                           2 * Chunks + Json.size() / 8)));
   size_t Offset = 0;
   uint16_t Ordinal = 0;
   // Emit at least one record even for an empty document so the stream is
   // distinguishable from "no telemetry".
   do {
     size_t N = std::min(TelemetryChunkBytes, Json.size() - Offset);
-    ExtRecord R;
-    R.Type = ExtType::Telemetry;
-    R.Inline = Ordinal++;
-    R.Payload.push_back(N);
+    appendExtHeader(Out, ExtType::Telemetry, Ordinal++,
+                    static_cast<unsigned>(1 + (N + 7) / 8));
+    appendExtPayload(Out, N);
     for (size_t I = 0; I < N; I += 8) {
       uint64_t W = 0;
       for (size_t B = 0; B < 8 && I + B < N; ++B)
         W |= static_cast<uint64_t>(
                  static_cast<uint8_t>(Json[Offset + I + B]))
              << (B * 8);
-      R.Payload.push_back(W);
+      appendExtPayload(Out, W);
     }
     Offset += N;
-    std::vector<uint32_t> Words = encodeExtRecord(R);
-    Out.insert(Out.end(), Words.begin(), Words.end());
   } while (Offset < Json.size());
   return Out;
 }
@@ -666,8 +670,8 @@ bool traceback::decodeTelemetryRecords(const std::vector<uint32_t> &Words,
   return true;
 }
 
-void SnapFile::setTelemetry(const MetricsSnapshot &Snapshot) {
-  Telemetry = encodeTelemetryRecords(Snapshot.toJson());
+void SnapFile::setTelemetry(const MetricsRegistry &Registry) {
+  Telemetry = encodeTelemetryRecords(Registry.toJson());
 }
 
 bool SnapFile::telemetry(MetricsSnapshot &Out) const {

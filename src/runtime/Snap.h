@@ -132,9 +132,9 @@ struct SnapFile {
   /// buffer: embedding metrics must never perturb recovered trace bytes.
   std::vector<uint32_t> Telemetry;
 
-  /// Convenience wrappers over {encode,decode}TelemetryRecords for this
-  /// snap's Telemetry stream.
-  void setTelemetry(const MetricsSnapshot &Snapshot);
+  /// Embeds \p Registry's current values as this snap's Telemetry stream,
+  /// rendered straight from its instruments; reads them back.
+  void setTelemetry(const MetricsRegistry &Registry);
   bool telemetry(MetricsSnapshot &Out) const;
 
   /// A serialized ExecutionLog (replay/ExecutionLog.h) captured at this

@@ -10,25 +10,25 @@
 
 using namespace traceback;
 
-std::vector<uint32_t> traceback::encodeExtRecord(const ExtRecord &R) {
-  assert(static_cast<uint8_t>(R.Type) != 0 && "subtype 0 is reserved");
-  unsigned Cont = extContinuationWords(static_cast<unsigned>(R.Payload.size()));
+void traceback::appendExtHeader(std::vector<uint32_t> &Out, ExtType Type,
+                                uint16_t Inline, unsigned PayloadU64s) {
+  assert(static_cast<uint8_t>(Type) != 0 && "subtype 0 is reserved");
+  unsigned Cont = extContinuationWords(PayloadU64s);
   assert(Cont <= 255 && "payload too large for the length field");
-
-  std::vector<uint32_t> Words;
-  Words.reserve(1 + Cont);
-  uint32_t Header = (static_cast<uint32_t>(R.Type) << 24) | (Cont << 16) |
-                    R.Inline;
+  uint32_t Header = (static_cast<uint32_t>(Type) << 24) | (Cont << 16) |
+                    Inline;
   assert(isExtHeader(Header) && "header encoding overflowed its fields");
-  Words.push_back(Header);
+  Out.push_back(Header);
+}
 
-  for (uint64_t V : R.Payload) {
-    // 30 + 30 + 4 bits, low bits first; every word tagged 01 in bits 31..30.
-    Words.push_back(0x40000000u | static_cast<uint32_t>(V & 0x3FFFFFFF));
-    Words.push_back(0x40000000u |
-                    static_cast<uint32_t>((V >> 30) & 0x3FFFFFFF));
-    Words.push_back(0x40000000u | static_cast<uint32_t>((V >> 60) & 0xF));
-  }
+std::vector<uint32_t> traceback::encodeExtRecord(const ExtRecord &R) {
+  std::vector<uint32_t> Words;
+  Words.reserve(1 + extContinuationWords(
+                        static_cast<unsigned>(R.Payload.size())));
+  appendExtHeader(Words, R.Type, R.Inline,
+                  static_cast<unsigned>(R.Payload.size()));
+  for (uint64_t V : R.Payload)
+    appendExtPayload(Words, V);
   return Words;
 }
 

@@ -125,6 +125,20 @@ constexpr bool isExtContinuation(uint32_t Word) { return (Word >> 30) == 1; }
 /// u64 occupies three 30/30/4-bit continuation words.
 std::vector<uint32_t> encodeExtRecord(const ExtRecord &R);
 
+/// Appends the header word of a record of \p Type whose payload is
+/// \p PayloadU64s u64s; the caller appends each with appendExtPayload.
+/// encodeExtRecord is these two, for a record already in an ExtRecord.
+void appendExtHeader(std::vector<uint32_t> &Out, ExtType Type,
+                     uint16_t Inline, unsigned PayloadU64s);
+
+/// Appends one payload u64 as its three continuation words.
+inline void appendExtPayload(std::vector<uint32_t> &Out, uint64_t V) {
+  // 30 + 30 + 4 bits, low bits first; every word tagged 01 in bits 31..30.
+  Out.push_back(0x40000000u | static_cast<uint32_t>(V & 0x3FFFFFFF));
+  Out.push_back(0x40000000u | static_cast<uint32_t>((V >> 30) & 0x3FFFFFFF));
+  Out.push_back(0x40000000u | static_cast<uint32_t>((V >> 60) & 0xF));
+}
+
 /// Decodes an extended record starting at Words[Pos] (which must be a
 /// header). On success advances \p Pos past the record and returns true;
 /// on a torn/truncated record returns false and leaves \p Pos at the

@@ -3,8 +3,11 @@
 #include "support/Metrics.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string_view>
 
 namespace traceback {
 
@@ -39,11 +42,17 @@ uint64_t Histogram::sum() const {
 }
 
 std::vector<uint64_t> Histogram::buckets() const {
-  std::vector<uint64_t> Out(HistogramBuckets, 0);
+  uint64_t Merged[HistogramBuckets];
+  mergeBuckets(Merged);
+  return std::vector<uint64_t>(Merged, Merged + HistogramBuckets);
+}
+
+void Histogram::mergeBuckets(uint64_t (&Out)[HistogramBuckets]) const {
+  for (uint64_t &B : Out)
+    B = 0;
   for (const auto &S : Shard)
     for (unsigned I = 0; I < HistogramBuckets; ++I)
       Out[I] += S.Bucket[I].load(std::memory_order_relaxed);
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -121,8 +130,37 @@ MetricsRegistry &MetricsRegistry::global() {
 
 namespace {
 
-void appendEscaped(std::string &Out, const std::string &S) {
+/// True when no byte of \p S needs escaping. Every snap renders every
+/// name, and names are plain ASCII, so this tests eight bytes at a time:
+/// a byte below 0x20, or equal to '"' or '\\', sets its high bit in
+/// one of the three terms (a borrow can only follow such a byte).
+bool isPlain(std::string_view S) {
+  constexpr uint64_t Ones = 0x0101010101010101ull, Highs = Ones << 7;
+  size_t I = 0;
+  for (; I + 8 <= S.size(); I += 8) {
+    uint64_t X;
+    std::memcpy(&X, S.data() + I, 8);
+    uint64_t Quote = X ^ ('"' * Ones), Slash = X ^ ('\\' * Ones);
+    if ((((X - 0x20 * Ones) & ~X) | ((Quote - Ones) & ~Quote) |
+         ((Slash - Ones) & ~Slash)) &
+        Highs)
+      return false;
+  }
+  for (; I < S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C < 0x20 || C == '"' || C == '\\')
+      return false;
+  }
+  return true;
+}
+
+void appendEscaped(std::string &Out, std::string_view S) {
   Out.push_back('"');
+  if (isPlain(S)) {
+    Out.append(S);
+    Out.push_back('"');
+    return;
+  }
   for (char C : S) {
     switch (C) {
     case '"':
@@ -153,11 +191,11 @@ void appendEscaped(std::string &Out, const std::string &S) {
 /// Tiny stateful pretty-printer: with Indent == 0 everything stays on one
 /// line with no spaces, otherwise nested levels are indented.
 struct JsonWriter {
-  std::string Out;
+  std::string &Out;
   unsigned Indent;
   unsigned Depth = 0;
 
-  explicit JsonWriter(unsigned Indent) : Indent(Indent) {}
+  JsonWriter(std::string &Out, unsigned Indent) : Out(Out), Indent(Indent) {}
 
   void newline() {
     if (!Indent)
@@ -174,86 +212,146 @@ struct JsonWriter {
     newline();
     Out.push_back(C);
   }
-  void key(const std::string &K) {
+  void key(std::string_view K) {
     appendEscaped(Out, K);
     Out.push_back(':');
     if (Indent)
       Out.push_back(' ');
   }
+  /// Opens the next member of an object: a comma after the first, then a
+  /// line break and the key.
+  void member(bool &First, std::string_view K) {
+    if (!First)
+      Out.push_back(',');
+    First = false;
+    newline();
+    key(K);
+  }
+  template <typename T> void number(T V) {
+    char Buf[24];
+    auto [End, Ec] = std::to_chars(Buf, Buf + sizeof Buf, V);
+    (void)Ec; // 24 bytes hold any 64-bit integer.
+    Out.append(Buf, End);
+  }
 };
 
-} // namespace
+/// One histogram as the schema prints it.
+struct HistogramFields {
+  uint64_t Count = 0;
+  uint64_t Sum = 0;
+  const uint64_t *Buckets = nullptr;
+  size_t NumBuckets = 0;
+};
 
-std::string MetricsSnapshot::toJson(unsigned Indent) const {
-  JsonWriter W(Indent);
+// The writer reads a MetricsSnapshot's plain values and a registry's live
+// instruments through the same overloads.
+uint64_t counterValue(uint64_t V) { return V; }
+uint64_t counterValue(const std::unique_ptr<Counter> &C) { return C->value(); }
+int64_t gaugeValue(int64_t V) { return V; }
+int64_t gaugeValue(const std::unique_ptr<Gauge> &G) { return G->value(); }
+HistogramFields histogramFields(const HistogramSnapshot &H,
+                                uint64_t (&)[HistogramBuckets]) {
+  return {H.Count, H.Sum, H.Buckets.data(), H.Buckets.size()};
+}
+HistogramFields histogramFields(const std::unique_ptr<Histogram> &H,
+                                uint64_t (&Merged)[HistogramBuckets]) {
+  H->mergeBuckets(Merged);
+  HistogramFields F{0, H->sum(), Merged, HistogramBuckets};
+  for (uint64_t B : Merged)
+    F.Count += B;
+  return F;
+}
+
+/// Writes the "traceback-metrics-v1" document: the one place that knows
+/// its key order, escaping and number format. Both maps of a kind are
+/// std::maps keyed by name, so members come out sorted either way.
+template <typename CounterMap, typename GaugeMap, typename HistogramMap>
+void writeMetricsJson(std::string &Out, unsigned Indent,
+                      const CounterMap &Counters, const GaugeMap &Gauges,
+                      const HistogramMap &Histograms) {
+  JsonWriter W(Out, Indent);
   W.open('{');
   W.newline();
   W.key("schema");
-  W.Out += "\"traceback-metrics-v1\",";
+  Out += "\"traceback-metrics-v1\",";
   W.newline();
 
   W.key("counters");
   W.open('{');
   bool First = true;
-  for (const auto &[Name, Value] : Counters) {
-    if (!First)
-      W.Out.push_back(',');
-    First = false;
-    W.newline();
-    W.key(Name);
-    W.Out += std::to_string(Value);
+  for (const auto &[Name, C] : Counters) {
+    W.member(First, Name);
+    W.number(counterValue(C));
   }
   W.close('}');
-  W.Out.push_back(',');
+  Out.push_back(',');
   W.newline();
 
   W.key("gauges");
   W.open('{');
   First = true;
-  for (const auto &[Name, Value] : Gauges) {
-    if (!First)
-      W.Out.push_back(',');
-    First = false;
-    W.newline();
-    W.key(Name);
-    W.Out += std::to_string(Value);
+  for (const auto &[Name, G] : Gauges) {
+    W.member(First, Name);
+    W.number(gaugeValue(G));
   }
   W.close('}');
-  W.Out.push_back(',');
+  Out.push_back(',');
   W.newline();
 
   W.key("histograms");
   W.open('{');
   First = true;
+  uint64_t Merged[HistogramBuckets];
   for (const auto &[Name, H] : Histograms) {
-    if (!First)
-      W.Out.push_back(',');
-    First = false;
-    W.newline();
-    W.key(Name);
+    W.member(First, Name);
+    HistogramFields F = histogramFields(H, Merged);
     W.open('{');
     W.newline();
     W.key("count");
-    W.Out += std::to_string(H.Count);
-    W.Out.push_back(',');
+    W.number(F.Count);
+    Out.push_back(',');
     W.newline();
     W.key("sum");
-    W.Out += std::to_string(H.Sum);
-    W.Out.push_back(',');
+    W.number(F.Sum);
+    Out.push_back(',');
     W.newline();
     W.key("buckets");
-    W.Out.push_back('[');
-    for (size_t I = 0; I < H.Buckets.size(); ++I) {
+    Out.push_back('[');
+    for (size_t I = 0; I < F.NumBuckets; ++I) {
       if (I)
-        W.Out.push_back(',');
-      W.Out += std::to_string(H.Buckets[I]);
+        Out.push_back(',');
+      W.number(F.Buckets[I]);
     }
-    W.Out.push_back(']');
+    Out.push_back(']');
     W.close('}');
   }
   W.close('}');
   W.close('}');
-  return W.Out;
+}
+
+} // namespace
+
+std::string MetricsSnapshot::toJson(unsigned Indent) const {
+  std::string Out;
+  writeMetricsJson(Out, Indent, Counters, Gauges, Histograms);
+  return Out;
+}
+
+std::string MetricsRegistry::toJson() const {
+  std::lock_guard<std::mutex> L(Mu);
+  // A close estimate (names plus typical value widths), so the render
+  // rarely reallocates.
+  size_t Hint = 96;
+  for (const auto &[Name, C] : CounterMap)
+    Hint += Name.size() + 8;
+  for (const auto &[Name, G] : GaugeMap)
+    Hint += Name.size() + 8;
+  for (const auto &[Name, H] : HistogramMap)
+    Hint += Name.size() + 40 + 2 * HistogramBuckets;
+  std::string Out;
+  Out.reserve(Hint);
+  writeMetricsJson(Out, 0, CounterMap, GaugeMap, HistogramMap);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -348,7 +446,10 @@ struct JsonParser {
     uint64_t U;
     if (!parseU64(U))
       return false;
-    Out = Neg ? -static_cast<int64_t>(U) : static_cast<int64_t>(U);
+    // Negate in unsigned arithmetic: -INT64_MIN does not fit an int64_t.
+    if (U > static_cast<uint64_t>(INT64_MAX) + (Neg ? 1 : 0))
+      return false;
+    Out = static_cast<int64_t>(Neg ? 0 - U : U);
     return true;
   }
 

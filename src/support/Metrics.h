@@ -17,7 +17,10 @@
 //
 // MetricsSnapshot is a plain-data copy of the registry that serializes to a
 // stable, sorted-key JSON schema ("traceback-metrics-v1") and parses back,
-// so snapshots can travel inside snaps as TELEMETRY extended records.
+// so snapshots can travel inside snaps as TELEMETRY extended records. The
+// registry renders the same compact document straight from its
+// instruments (no snapshot in between), since every snap embeds one; one
+// writer lays out the schema for both, so the bytes are the same.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,6 +117,8 @@ public:
   uint64_t sum() const;
   /// Merged per-bucket counts (size HistogramBuckets).
   std::vector<uint64_t> buckets() const;
+  /// The same counts, merged into \p Out without allocating.
+  void mergeBuckets(uint64_t (&Out)[HistogramBuckets]) const;
 
   void reset();
 
@@ -184,6 +189,10 @@ public:
   Histogram &histogram(const std::string &Name);
 
   MetricsSnapshot snapshot() const;
+
+  /// Renders the instruments as compact JSON, byte for byte
+  /// `snapshot().toJson()`, without building the snapshot.
+  std::string toJson() const;
 
   /// Reset every instrument to zero (shards included).  Primarily for tests
   /// and bench runs that want per-phase deltas.

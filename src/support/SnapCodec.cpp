@@ -158,6 +158,42 @@ constexpr size_t MaxRunBlockWords = 1024;
   return N;
 }
 
+/// The caller's known-zero ranges, walked alongside the encoder. The
+/// encoder only moves forward and meets every zero word first at the top
+/// of its loop (every other op stops at a zero), so each range is visited
+/// once, in order.
+class ZeroHints {
+public:
+  ZeroHints(std::span<const ZeroRange> Ranges, size_t NumWords)
+      : Ranges(Ranges), NumWords(NumWords) {}
+
+  /// Length of the run of zero words at word \p I, which is zero. Hinted
+  /// ranges are stepped over whole; only the words between them are
+  /// compared. With no hints this is runOfWord.
+  size_t runFrom(const uint8_t *Data, size_t I) {
+    size_t J = I;
+    for (;;) {
+      // Step over every range that starts at or before J (a range's
+      // ragged edges round inward to whole words).
+      for (; Next < Ranges.size() && firstWord(Next) <= J; ++Next)
+        J = std::max(J, std::min(Ranges[Next].End / 4, NumWords));
+      size_t Limit =
+          Next < Ranges.size() ? std::min(firstWord(Next), NumWords)
+                               : NumWords;
+      J += runOfWord(Data + J * 4, Limit - J, InvalidRecord);
+      if (J < Limit || Limit == NumWords)
+        return J - I;
+    }
+  }
+
+private:
+  size_t firstWord(size_t R) const { return (Ranges[R].Begin + 3) / 4; }
+
+  std::span<const ZeroRange> Ranges;
+  size_t NumWords;
+  size_t Next = 0;
+};
+
 uint32_t loadWord(const uint8_t *P) {
   return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
          (static_cast<uint32_t>(P[2]) << 16) |
@@ -184,7 +220,8 @@ void putDagWord(std::vector<uint8_t> &Out, uint32_t Word, uint32_t &PrevDag) {
 } // namespace
 
 size_t traceback::snapEncodeTo(const uint8_t *Data, size_t Size,
-                               std::vector<uint8_t> &Out) {
+                               std::vector<uint8_t> &Out,
+                               std::span<const ZeroRange> Zeros) {
   const size_t Start = Out.size();
   putVar(Out, Size);
   Out.push_back(ModeWordOps);
@@ -193,18 +230,20 @@ size_t traceback::snapEncodeTo(const uint8_t *Data, size_t Size,
   const size_t TailBytes = Size % 4;
   uint32_t PrevDag = 0;
   DagDict Dict;
+  ZeroHints Hints(Zeros, NumWords);
 
   size_t I = 0;
   while (I < NumWords) {
     uint32_t W = loadWord(Data + I * 4);
-    // Length of the run of identical words starting here.
-    size_t Run = runOfWord(Data + I * 4, NumWords - I, W);
-
     if (W == InvalidRecord) {
+      size_t Run = Hints.runFrom(Data, I);
       putOp(Out, OpZeros, Run);
       I += Run;
       continue;
     }
+    // Length of the run of identical words starting here.
+    size_t Run = runOfWord(Data + I * 4, NumWords - I, W);
+
     if (W == SentinelRecord) {
       putOp(Out, OpSentinels, Run);
       I += Run;

@@ -35,6 +35,12 @@
 /// any malformed stream yields false, never a crash or unbounded
 /// allocation.
 ///
+/// A caller that knows where its input is zero — snap capture does: the
+/// guest pages nothing has written (vm/AddressSpace.h) — passes those
+/// ranges as hints. A zero run then steps over a whole hinted range at
+/// once and scans only the bytes between ranges; the stream is byte for
+/// byte the one the unhinted encoder writes for the same input.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRACEBACK_SUPPORT_SNAPCODEC_H
@@ -42,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace traceback {
@@ -50,11 +57,22 @@ namespace traceback {
 /// decoder against fuzzed headers demanding absurd allocations).
 constexpr uint64_t SnapCodecMaxRawSize = 1ull << 28; // 256 MiB
 
+/// The bytes [Begin, End) of a buffer, known to be zero.
+struct ZeroRange {
+  size_t Begin = 0;
+  size_t End = 0;
+};
+
 /// Encodes \p Size bytes at \p Data, appending the stream to \p Out.
 /// Returns the number of bytes appended. Never fails: input that does not
 /// compress is stored as a raw block (a few bytes of framing overhead).
+/// \p Zeros, when given, lists byte ranges of the input that hold only
+/// zeros, sorted by Begin, within [0, Size) and word-aligned (a ragged
+/// edge is ignored, not trusted). The output does not depend on them as
+/// long as they are true; a range that is not zero corrupts the stream.
 size_t snapEncodeTo(const uint8_t *Data, size_t Size,
-                    std::vector<uint8_t> &Out);
+                    std::vector<uint8_t> &Out,
+                    std::span<const ZeroRange> Zeros = {});
 
 /// Convenience wrapper returning a fresh vector.
 std::vector<uint8_t> snapEncode(const std::vector<uint8_t> &Input);

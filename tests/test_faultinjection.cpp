@@ -418,6 +418,40 @@ TEST(FaultInjectionTest, TruncatedSnapReconstructsWithoutCrashing) {
   (void)Trace;
 }
 
+TEST(FaultInjectionTest, CorruptSnapSerializesToItsDamagedRaw) {
+  // Capture pre-encodes each ring with never-written hints before the
+  // injector runs; the injector drops the stream of every ring it
+  // damages, so the serialized snap must decode to the damaged bytes —
+  // flips into never-written pages included — never to the clean ones.
+  FaultPlan Plan;
+  Plan.Seed = 33;
+  Plan.Events.push_back({FaultKind::SnapCorrupt, 0, 48});
+  FaultedRun R(SpinThenSnap, Plan);
+  EXPECT_TRUE(R.FI.allFired());
+  ASSERT_FALSE(R.S.D.snaps().empty());
+  const SnapFile &Snap = R.S.D.snaps().front();
+
+  SnapFile Back;
+  ASSERT_TRUE(SnapFile::deserialize(Snap.serialize(), Back));
+  ASSERT_EQ(Back.Buffers.size(), Snap.Buffers.size());
+  size_t Damaged = 0, FlipsInNeverWritten = 0;
+  for (size_t I = 0; I < Snap.Buffers.size(); ++I) {
+    const SnapBufferImage &B = Snap.Buffers[I];
+    EXPECT_EQ(Back.Buffers[I].Raw, B.Raw) << "buffer " << I;
+    Damaged += B.Encoded.empty();
+    // Guest pages still never written now were zero at capture: a
+    // non-zero captured byte there is a flip.
+    std::vector<uint8_t> Live;
+    std::vector<ZeroRange> Never;
+    R.S.P->Mem.readInto(B.RecordsBase, B.Raw.size(), Live, &Never);
+    for (const ZeroRange &Z : Never)
+      for (size_t K = Z.Begin; K < Z.End; ++K)
+        FlipsInNeverWritten += B.Raw[K] != 0;
+  }
+  EXPECT_GT(Damaged, 0u);
+  EXPECT_GT(FlipsInNeverWritten, 0u);
+}
+
 // ----------------------------------------------------------------------------
 // RPC wire faults.
 // ----------------------------------------------------------------------------

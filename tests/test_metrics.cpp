@@ -13,6 +13,7 @@
 #include "TestHelpers.h"
 #include "core/FileIO.h"
 #include "reconstruct/Reconstructor.h"
+#include "runtime/TraceRecord.h"
 #include "support/Metrics.h"
 #include "support/Text.h"
 #include "support/ThreadPool.h"
@@ -20,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -109,8 +112,7 @@ TEST(MetricsInstrumentTest, HistogramBucketPlacement) {
 
 namespace {
 
-MetricsSnapshot sampleSnapshot() {
-  MetricsRegistry Reg;
+void fillSample(MetricsRegistry &Reg) {
   Reg.counter("runtime.words_appended").add(123456789);
   Reg.counter("reconstruct.cache_hits").add(42);
   Reg.gauge("runtime.buffers_owned").set(-3); // negative gauges round-trip
@@ -119,6 +121,11 @@ MetricsSnapshot sampleSnapshot() {
   H.observe(0);
   H.observe(17);
   H.observe(90000);
+}
+
+MetricsSnapshot sampleSnapshot() {
+  MetricsRegistry Reg;
+  fillSample(Reg);
   return Reg.snapshot();
 }
 
@@ -150,6 +157,80 @@ TEST(MetricsJsonTest, EscapesHostileNames) {
   EXPECT_EQ(Back, S);
 }
 
+namespace {
+
+/// A registry with every shape the schema prints: counters, negative
+/// gauges, histograms with overflow-bucket samples, and names that need
+/// escaping, with the escaped byte at either end of and inside an
+/// eight-byte word, or in a shorter tail.
+void fillHostile(MetricsRegistry &Reg) {
+  fillSample(Reg);
+  Reg.counter("we\"ird\\name\n\t").add(7);
+  Reg.counter(std::string("ctl\x01\x1f") + "x").add(UINT64_MAX);
+  Reg.counter("abcdefgh\"ijklmnop").add(1);
+  Reg.counter("abcdefghijklmno\\").add(2);
+  Reg.counter(std::string("0123456\x1f") + "tail").add(3);
+  Reg.counter("plain.utf8.\xc3\xa9.\x7f.name").add(4);
+  Reg.counter("zero").add(0);
+  Reg.gauge("neg.min").set(INT64_MIN);
+  Reg.gauge("neg.one").set(-1);
+  Reg.gauge("q\"uote").set(INT64_MAX);
+  Histogram &Over = Reg.histogram("big\\latency_us");
+  Over.observe(1ull << 40); // overflow bucket
+  Over.observe(UINT64_MAX);
+  Over.observe(3);
+  Reg.histogram("empty_us");
+}
+
+/// A name as a compact-JSON key, escaped one byte at a time.
+std::string referenceKey(const std::string &Name) {
+  std::string Out = "\"";
+  for (char C : Name) {
+    if (C == '"' || C == '\\')
+      Out += std::string("\\") + C;
+    else if (C == '\n')
+      Out += "\\n";
+    else if (C == '\t')
+      Out += "\\t";
+    else if (static_cast<unsigned char>(C) < 0x20)
+      Out += formatv("\\u%04x", static_cast<unsigned>(C));
+    else
+      Out += C;
+  }
+  return Out + "\":";
+}
+
+} // namespace
+
+TEST(MetricsJsonTest, RegistryRenderEqualsSnapshotJson) {
+  MetricsRegistry Empty;
+  EXPECT_EQ(Empty.toJson(), Empty.snapshot().toJson());
+  MetricsRegistry Reg;
+  fillHostile(Reg);
+  std::string Rendered = Reg.toJson();
+  EXPECT_EQ(Rendered, Reg.snapshot().toJson());
+  // Both render through one writer, so check its escaping on its own.
+  for (char C : Rendered)
+    ASSERT_GE(static_cast<unsigned char>(C), 0x20) << Rendered;
+  MetricsSnapshot Names = Reg.snapshot();
+  for (const auto &KV : Names.Counters)
+    EXPECT_NE(Rendered.find(referenceKey(KV.first)), std::string::npos)
+        << referenceKey(KV.first) << " in " << Rendered;
+  for (const auto &KV : Names.Gauges)
+    EXPECT_NE(Rendered.find(referenceKey(KV.first)), std::string::npos)
+        << referenceKey(KV.first);
+  for (const auto &KV : Names.Histograms)
+    EXPECT_NE(Rendered.find(referenceKey(KV.first)), std::string::npos)
+        << referenceKey(KV.first);
+  MetricsSnapshot Back;
+  ASSERT_TRUE(MetricsSnapshot::fromJson(Rendered, Back));
+  EXPECT_EQ(Back, Reg.snapshot());
+  // Pretty printing stays the snapshot's, from the same writer.
+  MetricsSnapshot Pretty;
+  ASSERT_TRUE(MetricsSnapshot::fromJson(Reg.snapshot().toJson(2), Pretty));
+  EXPECT_EQ(Pretty, Reg.snapshot());
+}
+
 TEST(MetricsJsonTest, RejectsMalformedDocuments) {
   MetricsSnapshot Out;
   EXPECT_FALSE(MetricsSnapshot::fromJson("", Out));
@@ -160,6 +241,14 @@ TEST(MetricsJsonTest, RejectsMalformedDocuments) {
       "{\"schema\":\"something-else\",\"counters\":{},\"gauges\":{},"
       "\"histograms\":{}}",
       Out));
+  // Gauges outside int64_t.
+  for (const char *G : {"9223372036854775808", "-9223372036854775809"})
+    EXPECT_FALSE(MetricsSnapshot::fromJson(
+        std::string("{\"schema\":\"traceback-metrics-v1\",\"counters\":{},"
+                    "\"gauges\":{\"g\":") +
+            G + "},\"histograms\":{}}",
+        Out))
+        << G;
   // Trailing garbage after a valid document.
   std::string J = sampleSnapshot().toJson();
   EXPECT_FALSE(MetricsSnapshot::fromJson(J + "x", Out));
@@ -192,6 +281,72 @@ TEST(TelemetryRecordTest, ChunkedEncodeDecodeRoundTrip) {
   std::string Empty;
   EXPECT_TRUE(decodeTelemetryRecords({}, Empty));
   EXPECT_TRUE(Empty.empty());
+}
+
+namespace {
+
+/// TELEMETRY words built the way the format describes them: one
+/// ExtRecord per 664-byte chunk, payload[0] the chunk's byte count, the
+/// bytes packed little-endian eight per u64.
+std::vector<uint32_t> referenceTelemetryWords(const std::string &Json) {
+  std::vector<uint32_t> Out;
+  size_t Offset = 0;
+  uint16_t Ordinal = 0;
+  do {
+    size_t N = std::min<size_t>(664, Json.size() - Offset);
+    ExtRecord R;
+    R.Type = ExtType::Telemetry;
+    R.Inline = Ordinal++;
+    R.Payload.push_back(N);
+    for (size_t I = 0; I < N; I += 8) {
+      uint64_t W = 0;
+      for (size_t B = 0; B < 8 && I + B < N; ++B)
+        W |= static_cast<uint64_t>(
+                 static_cast<uint8_t>(Json[Offset + I + B]))
+             << (B * 8);
+      R.Payload.push_back(W);
+    }
+    std::vector<uint32_t> Words = encodeExtRecord(R);
+    Out.insert(Out.end(), Words.begin(), Words.end());
+    Offset += N;
+  } while (Offset < Json.size());
+  return Out;
+}
+
+} // namespace
+
+TEST(TelemetryRecordTest, EmbeddedWordsMatchTheSnapshotEncoding) {
+  // Documents either side of the 664-byte chunk boundary, and past two.
+  for (size_t Size : {size_t(0), size_t(1), size_t(663), size_t(664),
+                      size_t(665), size_t(2 * 664 + 9)}) {
+    std::string Doc(Size, '\0');
+    for (size_t I = 0; I < Size; ++I)
+      Doc[I] = static_cast<char>(I * 131 + 7);
+    std::vector<uint32_t> Words = encodeTelemetryRecords(Doc);
+    EXPECT_EQ(Words, referenceTelemetryWords(Doc)) << "size " << Size;
+    std::string Back;
+    ASSERT_TRUE(decodeTelemetryRecords(Words, Back));
+    EXPECT_EQ(Back, Doc);
+  }
+
+  // A snap's TELEMETRY words, rendered from the registry, equal the
+  // encoding of its snapshot's JSON. One padding counter sizes each
+  // document exactly.
+  for (size_t Target : {size_t(663), size_t(664), size_t(665),
+                        size_t(2 * 664 + 100)}) {
+    MetricsRegistry Reg;
+    fillSample(Reg);
+    size_t Base = Reg.toJson().size();
+    // ,"<name>":0 adds the name plus five bytes.
+    ASSERT_GT(Target, Base + 5);
+    Reg.counter("pad." + std::string(Target - Base - 5 - 4, 'p')).add(0);
+    ASSERT_EQ(Reg.toJson().size(), Target);
+    SnapFile Snap;
+    Snap.setTelemetry(Reg);
+    std::string Json = Reg.snapshot().toJson();
+    EXPECT_EQ(Snap.Telemetry, encodeTelemetryRecords(Json)) << Target;
+    EXPECT_EQ(Snap.Telemetry, referenceTelemetryWords(Json)) << Target;
+  }
 }
 
 TEST(TelemetryRecordTest, TornStreamsAreRejected) {
@@ -241,14 +396,15 @@ TEST(TelemetryRecordTest, GoldenSnapRoundTripsTelemetry) {
   MetricsSnapshot None;
   EXPECT_FALSE(Snap.telemetry(None)) << "v2 snap must report no telemetry";
 
-  MetricsSnapshot Health = sampleSnapshot();
+  MetricsRegistry Health;
+  fillSample(Health);
   Snap.setTelemetry(Health);
   std::vector<uint8_t> Bytes = Snap.serialize();
   SnapFile Back;
   ASSERT_TRUE(SnapFile::deserialize(Bytes, Back));
   MetricsSnapshot Embedded;
   ASSERT_TRUE(Back.telemetry(Embedded));
-  EXPECT_EQ(Embedded, Health);
+  EXPECT_EQ(Embedded, Health.snapshot());
 
   // Telemetry piggybacks on the snap without touching the trace payload.
   EXPECT_EQ(Back.ProcessName, Snap.ProcessName);

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 
 using namespace traceback;
 using namespace traceback::testing_helpers;
@@ -234,6 +235,122 @@ TEST(ExecutionLogTest, SerializeDeserializeIsIdentity) {
     }
   }
   EXPECT_GT(Recovered, 2) << "truncation sweep never hit the event stream";
+}
+
+TEST(ExecutionLogTest, MutantsDeserializeOrFailCleanly) {
+  // The decoder contract for .tblog: every mutant of a real log either
+  // fails or yields a log no bigger than its input — never a crash, an
+  // ASan/UBSan report, or an allocation a forged count asked for.
+  RecordedProcess S;
+  ASSERT_EQ(S.runModule(compileOrDie(TwoThreadSnapWorkload), true),
+            World::RunResult::AllExited);
+  ExecutionLog L = S.Rec.snapshot();
+  ASSERT_GT(L.Entries.size(), 20u);
+  const std::vector<uint8_t> Bytes = L.serialize();
+
+  // The section table: [u8 id][u32 size] then the body, after the
+  // 8-byte magic and version.
+  struct Section {
+    uint8_t Id;
+    size_t SizeAt, Body, End;
+  };
+  std::vector<Section> Sections;
+  for (size_t At = 8; At < Bytes.size();) {
+    uint32_t Size;
+    std::memcpy(&Size, Bytes.data() + At + 1, 4);
+    Sections.push_back({Bytes[At], At + 1, At + 5, At + 5 + Size});
+    At += 5 + Size;
+  }
+  ASSERT_EQ(Sections.size(), 4u);
+  ASSERT_EQ(Sections[0].Id, 1); // META
+  ASSERT_EQ(Sections[1].Id, 2); // GENESIS
+  ASSERT_EQ(Sections[2].Id, 3); // EVENTS
+  ASSERT_EQ(Sections.back().End, Bytes.size());
+
+  size_t Accepted = 0, Rejected = 0;
+  auto Check = [&](const std::vector<uint8_t> &M, const std::string &What) {
+    ExecutionLog Out;
+    if (!ExecutionLog::deserialize(M, Out)) {
+      ++Rejected;
+      return false;
+    }
+    ++Accepted;
+    size_t Items = Out.Entries.size() + Out.Machines.size() +
+                   Out.Processes.size() + Out.Services.size() +
+                   Out.Deploys.size() + Out.Threads.size();
+    size_t Text = Out.PolicyText.size() + Out.PlanText.size();
+    for (const LogEntry &E : Out.Entries)
+      Text += E.Note.size();
+    for (const LogDeploy &D : Out.Deploys)
+      Text += D.Image.size();
+    EXPECT_LE(Out.Entries.size(), M.size() / 8) << What;
+    EXPECT_LE(Items, M.size()) << What;
+    EXPECT_LE(Text, M.size()) << What;
+    return true;
+  };
+
+  // A cut at every byte before GENESIS ends leaves no world to rebuild.
+  for (size_t Cut = 0; Cut < Sections[1].End; ++Cut)
+    EXPECT_FALSE(Check(std::vector<uint8_t>(Bytes.begin(), Bytes.begin() + Cut),
+                       "cut " + std::to_string(Cut)));
+
+  // Seeded single-bit flips anywhere.
+  Rng R(testSeed() ^ 0x7B10'6F11ULL);
+  for (int I = 0; I < 600; ++I) {
+    std::vector<uint8_t> M = Bytes;
+    size_t At = R.below(M.size());
+    M[At] ^= static_cast<uint8_t>(1u << R.below(8));
+    Check(M, "flip at " + std::to_string(At));
+  }
+
+  // Length inflation: a section size raised towards the u32 limit, or
+  // one varint count or length raised to 2^40.
+  size_t Inflated = 0;
+  for (const Section &Sec : Sections)
+    for (uint32_t Size : {UINT32_MAX, UINT32_MAX - 7, 1u << 31,
+                          static_cast<uint32_t>(Sec.End - Sec.Body + 1)}) {
+      std::vector<uint8_t> M = Bytes;
+      std::memcpy(M.data() + Sec.SizeAt, &Size, 4);
+      Check(M, "section " + std::to_string(Sec.Id) + " size " +
+                   std::to_string(Size));
+      ++Inflated;
+    }
+  auto varintLen = [](uint64_t V) {
+    uint8_t Buf[10];
+    return static_cast<size_t>(putVarU64(Buf, V) - Buf);
+  };
+  auto Raise = [&](size_t At, uint64_t Old, const std::string &What) {
+    uint8_t Big[10];
+    size_t BigLen = static_cast<size_t>(putVarU64(Big, 1ull << 40) - Big);
+    std::vector<uint8_t> M(Bytes.begin(), Bytes.begin() + At);
+    M.insert(M.end(), Big, Big + BigLen);
+    M.insert(M.end(), Bytes.begin() + At + varintLen(Old), Bytes.end());
+    Check(M, What);
+    ++Inflated;
+  };
+  Raise(Sections[0].Body, L.PolicyText.size(), "policy length");
+  Raise(Sections[0].Body + varintLen(L.PolicyText.size()) +
+            L.PolicyText.size(),
+        L.PlanText.size(), "plan length");
+  Raise(Sections[1].Body, L.Machines.size(), "machine count");
+  Raise(Sections[2].Body, L.Entries.size(), "entry count");
+  size_t At = Sections[2].Body + varintLen(L.Entries.size());
+  std::vector<uint8_t> Scratch(maxLogEntrySize(0) + 4096);
+  for (size_t I = 0; I < L.Entries.size() && I < 120; ++I) {
+    const LogEntry &E = L.Entries[I];
+    ASSERT_LE(E.Note.size(), 4096u);
+    size_t Len = static_cast<size_t>(
+        putLogEntry(Scratch.data(), E.Kind, E.Ordinal, E.A, E.B, E.C, E.D,
+                    E.E, E.Note) -
+        Scratch.data());
+    size_t NoteLenAt = At + Len - E.Note.size() - varintLen(E.Note.size());
+    Raise(NoteLenAt, E.Note.size(), "note length of entry " +
+                                        std::to_string(I));
+    At += Len;
+  }
+  EXPECT_GE(Inflated, 100u);
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
 }
 
 TEST(ExecutionLogTest, RingWindowKeepsTailAndCountsDrops) {

@@ -6,8 +6,11 @@
 
 #include "TestHelpers.h"
 #include "runtime/Runtime.h"
+#include "support/SnapCodec.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace traceback;
 using namespace traceback::testing_helpers;
@@ -319,6 +322,48 @@ TEST(RuntimeTest, SnapFileSerializationRoundTrip) {
   ASSERT_EQ(A.Threads.size(), B.Threads.size());
   for (size_t I = 0; I < A.Threads.size(); ++I)
     EXPECT_EQ(A.Threads[I].Events.size(), B.Threads[I].Events.size());
+}
+
+TEST(RuntimeTest, CaptureCopiesStoresTheRuntimeNeverMade) {
+  // Capture trusts guest memory, not the runtime's bookkeeping: a store
+  // into ring space the runtime never opened (a wild guest store, here a
+  // direct write) reaches the next snap's Raw, and the stream pre-encoded
+  // with never-written hints decodes to it and equals the unhinted one.
+  SingleProcess S;
+  Module M = compileOrDie("fn main() export { snap(3); }");
+  S.runModule(M, true);
+  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
+  ASSERT_NE(RT, nullptr);
+  std::shared_ptr<const SnapFile> Before = RT->takeSnap(SnapReason::Api, 1);
+
+  const uint32_t Wild = 0x2C6A91E5u;
+  std::vector<uint64_t> Offsets;
+  for (const SnapBufferImage &B : Before->Buffers) {
+    EXPECT_EQ(B.Encoded, snapEncode(B.Raw)) << "buffer " << B.Index;
+    // The first page of this ring nothing has written yet.
+    std::vector<uint8_t> Bytes;
+    std::vector<ZeroRange> Never;
+    ASSERT_TRUE(S.P->Mem.readInto(B.RecordsBase, B.Raw.size(), Bytes, &Never));
+    ASSERT_FALSE(Never.empty()) << "buffer " << B.Index;
+    uint64_t Off = (Never.front().Begin / 4 + 17) * 4;
+    ASSERT_LT(Off + 4, Never.front().End);
+    ASSERT_TRUE(S.P->Mem.write32(B.RecordsBase + Off, Wild));
+    Offsets.push_back(Off);
+  }
+
+  std::shared_ptr<const SnapFile> After = RT->takeSnap(SnapReason::Api, 2);
+  ASSERT_EQ(After->Buffers.size(), Before->Buffers.size());
+  for (size_t I = 0; I < After->Buffers.size(); ++I) {
+    const SnapBufferImage &B = After->Buffers[I];
+    SCOPED_TRACE(::testing::Message() << "buffer " << B.Index);
+    uint32_t Got;
+    std::memcpy(&Got, B.Raw.data() + Offsets[I], 4);
+    EXPECT_EQ(Got, Wild);
+    std::vector<uint8_t> Decoded;
+    ASSERT_TRUE(snapDecode(B.Encoded, Decoded));
+    EXPECT_EQ(Decoded, B.Raw);
+    EXPECT_EQ(B.Encoded, snapEncode(B.Raw));
+  }
 }
 
 TEST(RuntimeTest, ThreadsLeaveDesperationWhenBuffersFree) {

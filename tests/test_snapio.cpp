@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -352,6 +353,148 @@ TEST(SnapCodecTest, EncodingIsPinned) {
     Hash.update(Stream.data(), Stream.size());
   }
   EXPECT_EQ(Hash.final().toHex(), "135a132c125fdff5405c8b80bc993265");
+}
+
+TEST(SnapCodecTest, ZeroHintsDoNotChangeTheStream) {
+  // Capture hints the encoder with the byte ranges of never-written
+  // pages. Whatever true hints it gets — none, adjacent, at either end,
+  // starting or ending inside a zero run, the whole input — the stream
+  // must be the unhinted one, byte for byte.
+  Rng R(testSeed() ^ 0x21E0'4147ULL);
+  auto randomImage = [&R](bool ZeroEnds) {
+    std::vector<uint8_t> In;
+    if (ZeroEnds)
+      for (uint64_t I = 0, N = 1 + R.below(2000); I < N; ++I)
+        pushWord(In, InvalidRecord);
+    for (uint64_t Seg = 0, Segs = 1 + R.below(12); Seg < Segs; ++Seg) {
+      uint64_t Len = R.below(4) == 0 ? 1 + R.below(3000) : 1 + R.below(40);
+      uint64_t Kind = R.below(5);
+      for (uint64_t I = 0; I < Len; ++I) {
+        uint32_t W = InvalidRecord;
+        if (Kind == 1)
+          W = SentinelRecord;
+        else if (Kind == 2)
+          W = makeDagRecord(1 + static_cast<uint32_t>(R.below(300))) |
+              static_cast<uint32_t>(R.below(1u << PathBitCount));
+        else if (Kind == 3)
+          W = static_cast<uint32_t>(R.below(0x40000000u)) | 1;
+        else if (Kind == 4) // One non-zero byte: zero bytes at a word's edge.
+          W = static_cast<uint32_t>(1 + R.below(255)) << (8 * R.below(4));
+        pushWord(In, W);
+      }
+    }
+    if (ZeroEnds)
+      for (uint64_t I = 0, N = 1 + R.below(2000); I < N; ++I)
+        pushWord(In, InvalidRecord);
+    return In;
+  };
+  /// Maximal runs of zero words, as word index ranges.
+  auto zeroRuns = [](const std::vector<uint8_t> &In) {
+    std::vector<std::pair<size_t, size_t>> Runs;
+    size_t Words = In.size() / 4;
+    for (size_t I = 0; I < Words;) {
+      if (std::memcmp(In.data() + I * 4, "\0\0\0\0", 4) != 0) {
+        ++I;
+        continue;
+      }
+      size_t J = I;
+      while (J < Words && std::memcmp(In.data() + J * 4, "\0\0\0\0", 4) == 0)
+        ++J;
+      Runs.push_back({I, J});
+      I = J;
+    }
+    return Runs;
+  };
+  /// Random true hints inside the zero runs: whole runs, pieces that
+  /// start or end mid-run, and runs split into adjacent ranges.
+  auto randomHints = [&R](const std::vector<std::pair<size_t, size_t>> &Runs) {
+    std::vector<ZeroRange> Hints;
+    for (auto [B, E] : Runs) {
+      uint64_t Mode = R.below(4);
+      if (Mode == 0)
+        continue;
+      size_t From = B, To = E;
+      if (Mode == 2) {
+        From = B + R.below(E - B);
+        To = From + 1 + R.below(E - From);
+      }
+      if (Mode == 3 && E - B >= 2) {
+        size_t Mid = B + 1 + R.below(E - B - 1);
+        Hints.push_back({B * 4, Mid * 4});
+        From = Mid;
+      }
+      Hints.push_back({From * 4, To * 4});
+    }
+    return Hints;
+  };
+
+  std::vector<std::vector<uint8_t>> Images;
+  for (int I = 0; I < 48; ++I)
+    Images.push_back(randomImage(/*ZeroEnds=*/I % 2 == 0));
+  Images.push_back(ringImage(R, /*Records=*/200));
+  Images.push_back(ringImage(R, /*Records=*/9000));
+  Images.push_back(std::vector<uint8_t>(64 * 1024, 0));
+  std::vector<uint8_t> Lone; // lone words with zero bytes, between zero runs
+  for (unsigned Shift = 0; Shift < 32; Shift += 8)
+    for (unsigned Gap : {1u, 17u, 40u}) {
+      for (unsigned I = 0; I < Gap; ++I)
+        pushWord(Lone, InvalidRecord);
+      pushWord(Lone, 0xABu << Shift);
+    }
+  pushWord(Lone, InvalidRecord);
+  Images.push_back(Lone);
+  std::vector<uint8_t> Ragged = Images[0];
+  Ragged.insert(Ragged.end(), {0, 0, 0}); // a tail past the last word
+  Images.push_back(Ragged);
+
+  size_t Checked = 0;
+  for (size_t Img = 0; Img < Images.size(); ++Img) {
+    const std::vector<uint8_t> &In = Images[Img];
+    SCOPED_TRACE(::testing::Message() << "image " << Img);
+    std::vector<uint8_t> Reference;
+    snapEncodeTo(In.data(), In.size(), Reference);
+    std::vector<uint8_t> Back;
+    ASSERT_TRUE(snapDecode(Reference, Back));
+    ASSERT_EQ(Back, In);
+
+    auto Runs = zeroRuns(In);
+    std::vector<std::vector<ZeroRange>> HintSets = {{}};
+    std::vector<ZeroRange> Whole;
+    for (auto [B, E] : Runs)
+      Whole.push_back({B * 4, E * 4});
+    HintSets.push_back(Whole);
+    if (!Runs.empty()) {
+      // Only the first and the last run: the ends of a ZeroEnds image.
+      HintSets.push_back({Whole.front(), Whole.back()});
+      if (Runs.size() == 1)
+        HintSets.back().pop_back();
+    }
+    for (int K = 0; K < 6; ++K)
+      HintSets.push_back(randomHints(Runs));
+    // Ragged edges round inward to whole words: hint every zero byte
+    // next to a zero run, including those in a neighbour that is not
+    // zero as a word.
+    std::vector<ZeroRange> Ragged;
+    for (const ZeroRange &Z : Whole) {
+      size_t B = Z.Begin, E = Z.End;
+      while (B > 0 && In[B - 1] == 0)
+        --B;
+      while (E < In.size() && In[E] == 0)
+        ++E;
+      if (Ragged.empty() || Ragged.back().End < B)
+        Ragged.push_back({B, E});
+    }
+    HintSets.push_back(Ragged);
+
+    for (size_t H = 0; H < HintSets.size(); ++H) {
+      std::vector<uint8_t> Hinted;
+      snapEncodeTo(In.data(), In.size(), Hinted, HintSets[H]);
+      ASSERT_EQ(Hinted, Reference) << "hint set " << H << " of "
+                                   << HintSets[H].size() << " ranges";
+      ++Checked;
+    }
+  }
+  EXPECT_GT(Checked, 500u);
 }
 
 // ----------------------------------------------------------------------------

@@ -104,6 +104,133 @@ TEST(AddressSpaceTest, FillSetsBytesAcrossPages) {
   EXPECT_TRUE(Ok);
 }
 
+namespace {
+/// The ranges readInto reports as shared-page zeros for [Addr, Addr+Size).
+std::vector<std::pair<size_t, size_t>> sharedRanges(const AddressSpace &Mem,
+                                                    uint64_t Addr,
+                                                    uint64_t Size) {
+  std::vector<uint8_t> Bytes;
+  std::vector<ZeroRange> Zeros;
+  EXPECT_TRUE(Mem.readInto(Addr, Size, Bytes, &Zeros));
+  std::vector<std::pair<size_t, size_t>> Out;
+  for (const ZeroRange &Z : Zeros) {
+    Out.push_back({Z.Begin, Z.End});
+    for (size_t I = Z.Begin; I < Z.End; ++I)
+      EXPECT_EQ(Bytes[I], 0) << "reported zero at byte " << I;
+  }
+  return Out;
+}
+using Ranges = std::vector<std::pair<size_t, size_t>>;
+} // namespace
+
+TEST(AddressSpaceTest, MappedPagesAreSharedZerosUntilStoredTo) {
+  const uint64_t P = AddressSpace::PageSize;
+  AddressSpace Mem;
+  Mem.map(0, 3 * P);
+  EXPECT_TRUE(Mem.isMapped(0, 3 * P));
+  EXPECT_EQ(sharedRanges(Mem, 0, 3 * P), (Ranges{{0, 3 * P}}));
+  // Loads read zeros and give no page storage.
+  bool Ok = true;
+  EXPECT_EQ(Mem.read64(P + 8, Ok), 0u);
+  EXPECT_EQ(Mem.read32(2 * P - 2, Ok), 0u); // straddling
+  std::vector<uint8_t> Got(P, 0xEE);
+  EXPECT_TRUE(Mem.read(P / 2, Got.data(), P));
+  EXPECT_EQ(Got, std::vector<uint8_t>(P, 0));
+  EXPECT_TRUE(Ok);
+  EXPECT_EQ(sharedRanges(Mem, 0, 3 * P), (Ranges{{0, 3 * P}}));
+
+  // Offsets count from the first byte readInto appends, whatever Out
+  // already held; an unaligned start reports the partial first page.
+  std::vector<uint8_t> Out(5, 0x11);
+  std::vector<ZeroRange> Zeros;
+  ASSERT_TRUE(Mem.readInto(P / 2, 2 * P, Out, &Zeros));
+  ASSERT_EQ(Out.size(), 5 + 2 * P);
+  ASSERT_EQ(Zeros.size(), 1u);
+  EXPECT_EQ(Zeros[0].Begin, 0u);
+  EXPECT_EQ(Zeros[0].End, 2 * P);
+
+  // Remapping a mapped page keeps what was stored there.
+  ASSERT_TRUE(Mem.write8(P + 1, 0x5A));
+  Mem.map(0, 3 * P);
+  EXPECT_EQ(Mem.read8(P + 1, Ok), 0x5A);
+}
+
+TEST(AddressSpaceTest, StoreGivesStorageOnlyToThePagesItTouches) {
+  const uint64_t P = AddressSpace::PageSize;
+  AddressSpace Mem;
+  Mem.map(0, 4 * P);
+  ASSERT_TRUE(Mem.write8(P + 5, 0xAB));
+  EXPECT_EQ(sharedRanges(Mem, 0, 4 * P), (Ranges{{0, P}, {2 * P, 4 * P}}));
+  bool Ok = true;
+  EXPECT_EQ(Mem.read8(P + 5, Ok), 0xAB);
+  EXPECT_EQ(Mem.read8(P + 4, Ok), 0); // the rest of the new page is zero
+  EXPECT_EQ(Mem.read8(P + 6, Ok), 0);
+
+  // A store straddling pages 2 and 3 gives both their own storage.
+  ASSERT_TRUE(Mem.write64(3 * P - 4, 0x1122334455667788ull));
+  EXPECT_EQ(sharedRanges(Mem, 0, 4 * P), (Ranges{{0, P}}));
+  EXPECT_EQ(Mem.read64(3 * P - 4, Ok), 0x1122334455667788ull);
+  EXPECT_TRUE(Ok);
+
+  // Bulk writes too, and readInto copies the stored bytes.
+  const char Msg[] = "hello";
+  ASSERT_TRUE(Mem.write(100, Msg, sizeof Msg));
+  EXPECT_TRUE(sharedRanges(Mem, 0, 4 * P).empty());
+  std::vector<uint8_t> Out;
+  ASSERT_TRUE(Mem.readInto(100, sizeof Msg, Out));
+  EXPECT_EQ(std::string(Out.begin(), Out.end() - 1), "hello");
+}
+
+TEST(AddressSpaceTest, ZeroFillKeepsSharedPagesShared) {
+  const uint64_t P = AddressSpace::PageSize;
+  AddressSpace Mem;
+  Mem.map(0, 3 * P);
+  ASSERT_TRUE(Mem.fill(0, 0, 3 * P));
+  ASSERT_TRUE(Mem.fill(P / 2, 0, P));
+  EXPECT_EQ(sharedRanges(Mem, 0, 3 * P), (Ranges{{0, 3 * P}}));
+
+  // A non-zero fill gives storage to the pages it covers, only.
+  ASSERT_TRUE(Mem.fill(P + 3, 0xCD, 2));
+  EXPECT_EQ(sharedRanges(Mem, 0, 3 * P), (Ranges{{0, P}, {2 * P, 3 * P}}));
+  bool Ok = true;
+  EXPECT_EQ(Mem.read8(P + 2, Ok), 0);
+  EXPECT_EQ(Mem.read8(P + 3, Ok), 0xCD);
+  EXPECT_EQ(Mem.read8(P + 4, Ok), 0xCD);
+  EXPECT_EQ(Mem.read8(P + 5, Ok), 0);
+
+  // A zero fill of a page with storage clears it; the page keeps its
+  // storage (it is not returned to the shared page).
+  ASSERT_TRUE(Mem.fill(P, 0, P));
+  EXPECT_EQ(Mem.read8(P + 3, Ok), 0);
+  EXPECT_EQ(sharedRanges(Mem, 0, 3 * P), (Ranges{{0, P}, {2 * P, 3 * P}}));
+}
+
+TEST(AddressSpaceTest, StoreFromASharedPageIntoAHoleFaultsAfterWriting) {
+  // Page 0 is mapped and never written, page 1 is a hole: the straddling
+  // store gives page 0 storage, writes its half there, then faults.
+  const uint64_t P = AddressSpace::PageSize;
+  AddressSpace Mem;
+  Mem.map(0, P);
+  EXPECT_FALSE(Mem.write64(P - 4, 0x1122334455667788ull));
+  EXPECT_TRUE(sharedRanges(Mem, 0, P).empty());
+  bool Ok = true;
+  EXPECT_EQ(Mem.read32(P - 4, Ok), 0x55667788u);
+  EXPECT_EQ(Mem.read8(P - 5, Ok), 0);
+  EXPECT_TRUE(Ok);
+  EXPECT_FALSE(Mem.fill(P - 1, 0, 2));
+
+  // readInto of a range running into the hole appends zeros for the rest
+  // and reports only shared pages, not the hole.
+  AddressSpace Fresh;
+  Fresh.map(0, P);
+  std::vector<uint8_t> Out;
+  std::vector<ZeroRange> Zeros;
+  EXPECT_FALSE(Fresh.readInto(0, 2 * P, Out, &Zeros));
+  EXPECT_EQ(Out.size(), 2 * P);
+  ASSERT_EQ(Zeros.size(), 1u);
+  EXPECT_EQ(Zeros[0].End, P);
+}
+
 TEST(AddressSpaceTest, CString) {
   AddressSpace Mem;
   Mem.map(0x1000, 32);
