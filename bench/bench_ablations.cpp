@@ -74,9 +74,11 @@ std::string subBufferAblation() {
     RtPolicy Policy = quietPolicy();
     Policy.BufferBytes = 2048;
     Policy.SubBufferCount = Subs;
-    // Overheads are visible through the runtime's wrap statistics; use a
-    // deployment directly so we can read them.
+    // Overheads are visible through the runtime's wrap counter; use a
+    // deployment with a registry of its own so we can read it.
+    MetricsRegistry Metrics;
     Deployment D;
+    D.Metrics = &Metrics;
     D.Policy = Policy;
     Machine *Host = D.addMachine("bench");
     Process *P = Host->createProcess("w");
@@ -84,7 +86,7 @@ std::string subBufferAblation() {
     Module Instr;
     if (!D.instrumentOnly(M, InstrumentOptions(), Instr, Error))
       std::abort();
-    TracebackRuntime *RT = D.runtimeFor(*P, Technology::Native);
+    D.runtimeFor(*P, Technology::Native);
     if (!P->loadModule(Instr, Error) || !P->start("main"))
       std::abort();
     D.world().run();
@@ -92,7 +94,8 @@ std::string subBufferAblation() {
                  "\"ratio\": %.4f, \"wrap_calls\": %llu}%s\n",
                  Subs, static_cast<unsigned long long>(P->CyclesUsed),
                  static_cast<double>(P->CyclesUsed) / Plain.Cycles,
-                 static_cast<unsigned long long>(RT->stats().BufferWraps),
+                 static_cast<unsigned long long>(
+                     Metrics.counter("runtime.buffer_wraps").value()),
                  I + 1 < 6 ? "," : "");
   }
   J += "    ]\n  }";

@@ -12,8 +12,8 @@
 using namespace traceback;
 
 CollectorService::CollectorService(SnapStore &Store, const CollectorOptions &O)
-    : Store(Store), Opt(O) {
-  MetricsRegistry &R = Opt.Metrics ? *Opt.Metrics : MetricsRegistry::global();
+    : Store(Store) {
+  MetricsRegistry &R = O.Metrics ? *O.Metrics : MetricsRegistry::global();
   CM.Received = &R.counter("collector.ingest.received");
   CM.Ingested = &R.counter("collector.ingest.ingested");
   CM.Errors = &R.counter("collector.ingest.errors");
@@ -26,7 +26,7 @@ bool CollectorService::push(std::vector<uint8_t> Image,
   ++ReceivedCount;
   CM.Received->add();
   bool Ok = true;
-  if (Opt.QueueCapacity != 0 && Queue.size() >= Opt.QueueCapacity) {
+  if (Queue.size() >= QueueCapacity) {
     // Full queue: drain it inline, preserving arrival order, and keep
     // going — back-pressure degrades latency, never durability.
     CM.InlineDrains->add();

@@ -36,11 +36,8 @@ namespace traceback {
 
 class TransportEndpoint;
 
-/// Ingestion-front tuning.
+/// Ingestion-front settings.
 struct CollectorOptions {
-  /// Bound on queued images (0 = unbounded). An enqueue into a full
-  /// queue drains it inline first (deterministic, never drops).
-  size_t QueueCapacity = 1024;
   /// Destination of the "collector.ingest." instrument family
   /// (null = the process-global registry).
   MetricsRegistry *Metrics = nullptr;
@@ -49,6 +46,10 @@ struct CollectorOptions {
 /// Drains snap pushes into a SnapStore.
 class CollectorService {
 public:
+  /// Bound on queued images. An enqueue into a full queue drains it
+  /// inline first (deterministic, never drops).
+  static constexpr size_t QueueCapacity = 1024;
+
   /// \p Store must outlive the service and be open for writing.
   CollectorService(SnapStore &Store, const CollectorOptions &O = {});
 
@@ -86,7 +87,6 @@ private:
   bool ingestOne(const Item &It);
 
   SnapStore &Store;
-  CollectorOptions Opt;
   std::vector<Item> Queue; ///< Arrival order.
 
   TransportEndpoint *EP = nullptr;

@@ -121,8 +121,8 @@ TracebackRuntime *Deployment::runtimeFor(Process &P, Technology Tech) {
   // daemon can coordinate group snaps; the daemon forwards downstream.
   ServiceDaemon *Daemon = P.Host ? daemonFor(*P.Host) : nullptr;
   SnapSink *RtSink = Daemon ? static_cast<SnapSink *>(Daemon) : Sink.get();
-  auto RT = std::make_unique<TracebackRuntime>(
-      P, Tech, Policy, RtSink, UseBaseFile ? &BaseFile : nullptr, Metrics);
+  auto RT = std::make_unique<TracebackRuntime>(P, Tech, Policy, RtSink,
+                                               &BaseFile, Metrics);
   TracebackRuntime *Result = RT.get();
   P.attachRuntime(Result);
   if (Daemon)

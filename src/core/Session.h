@@ -119,9 +119,9 @@ public:
 
   /// Policy applied to runtimes created after the change.
   RtPolicy Policy;
-  /// Optional DAG base file consulted by new runtimes.
+  /// DAG base file consulted by new runtimes; an empty one assigns no
+  /// module a base, so each keeps its compiled default.
   DagBaseFile BaseFile;
-  bool UseBaseFile = false;
   /// Registry that receives self-telemetry from runtimes, daemons and
   /// reconstruction created by this deployment. Set before addMachine /
   /// deploy to isolate a test; null = the process-global registry.

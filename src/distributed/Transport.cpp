@@ -58,7 +58,7 @@ uint64_t TransportEndpoint::send(FrameType Type, uint64_t Dst,
   U.Seq = F.Seq;
   encodeFrame(F, U.Bytes);
   U.Attempts = 1;
-  U.NextRetryAt = W.cycles() + Opt.RetryBase;
+  U.NextRetryAt = W.cycles() + RetryBase;
   W.netSend(MachineId, Dst, U.Bytes);
   NM.FramesSent->add();
   C.Window.push_back(std::move(U));
@@ -124,7 +124,7 @@ void TransportEndpoint::handleArrived(const WireFrame &F,
     NM.DupsDiscarded->add();
     return;
   }
-  if (C.HeldFrames.size() < Opt.MaxHeld) {
+  if (C.HeldFrames.size() < MaxHeld) {
     C.HeldFrames[F.Seq] = {F, W.cycles()};
     NM.FramesHeld->add();
   }
@@ -152,14 +152,14 @@ void TransportEndpoint::runRetries() {
     for (Unacked &U : C.Window) {
       if (U.NextRetryAt > Now)
         continue;
-      if (U.Attempts >= Opt.MaxAttempts) {
+      if (U.Attempts >= MaxAttempts) {
         Exhausted = true;
         break;
       }
       W.netSend(MachineId, Dst, U.Bytes);
       ++U.Attempts;
-      uint64_t Backoff = Opt.RetryBase << U.Attempts;
-      U.NextRetryAt = Now + std::min(Backoff, Opt.RetryCap);
+      uint64_t Backoff = RetryBase << U.Attempts;
+      U.NextRetryAt = Now + std::min(Backoff, RetryCap);
       NM.FramesRetried->add();
     }
     if (Exhausted) {
@@ -198,7 +198,7 @@ size_t TransportEndpoint::pump() {
   for (auto &[Src, C] : Channels) {
     if (C.HeldFrames.empty() || C.NextRecvSeq >= C.HeldFrames.begin()->first)
       continue;
-    if (C.HeldFrames.begin()->second.HeldSince + gapTimeout() > Now)
+    if (C.HeldFrames.begin()->second.HeldSince + GapTimeout > Now)
       continue;
     C.NextRecvSeq = C.HeldFrames.begin()->first;
     NM.GapSkips->add();

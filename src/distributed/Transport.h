@@ -48,17 +48,18 @@ class World;
 /// One machine's endpoint on the snap-transport network.
 class TransportEndpoint {
 public:
-  struct Options {
-    uint64_t RetryBase = 8000;  ///< Cycles before the first retransmit.
-    uint64_t RetryCap = 64000;  ///< Backoff ceiling per attempt.
-    unsigned MaxAttempts = 6;   ///< Then the peer is unreachable.
-    size_t MaxHeld = 64;        ///< Reorder-hold bound per channel.
-    /// How long a receive-side sequence gap may persist before the
-    /// receiver concludes the sender gave up on the missing frames and
-    /// resyncs past them. Must exceed the sender's total retry horizon;
-    /// 0 derives (MaxAttempts + 2) * RetryCap.
-    uint64_t GapTimeout = 0;
-  };
+  /// Cycles before the first retransmit.
+  static constexpr uint64_t RetryBase = 8000;
+  /// Backoff ceiling per attempt.
+  static constexpr uint64_t RetryCap = 64000;
+  /// Attempts before the peer is declared unreachable.
+  static constexpr unsigned MaxAttempts = 6;
+  /// Reorder-hold bound per channel.
+  static constexpr size_t MaxHeld = 64;
+  /// How long a receive-side sequence gap may persist before the receiver
+  /// concludes the sender gave up on the missing frames and resyncs past
+  /// them. It exceeds the sender's whole retry horizon.
+  static constexpr uint64_t GapTimeout = (MaxAttempts + 2) * RetryCap;
 
   /// Transport counters land in \p Metrics under "daemon.net." (null =
   /// the process-global registry).
@@ -106,8 +107,6 @@ public:
   /// forced); queued traffic is gone, new traffic flows again.
   void resetPeer(uint64_t Dst);
 
-  Options Opt;
-
 private:
   struct Unacked {
     uint64_t Seq = 0;
@@ -137,11 +136,6 @@ private:
     std::map<uint64_t, Held> HeldFrames;
     bool AckDue = false;
   };
-
-  uint64_t gapTimeout() const {
-    return Opt.GapTimeout ? Opt.GapTimeout
-                          : (Opt.MaxAttempts + 2) * Opt.RetryCap;
-  }
 
   void handleArrived(const WireFrame &F, size_t &DeliveredOut);
   void deliverInOrder(Channel &C, uint64_t Src, size_t &DeliveredOut);

@@ -17,9 +17,7 @@ SharedDagPath DagPathCache::decode(uint64_t ModuleKey, const MapDag &Dag,
   {
     std::lock_guard<std::mutex> Lock(S.M);
     if (SharedDagPath *Found = S.Map.find(K)) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      if (HitCounter)
-        HitCounter->add();
+      Hits.add();
       return *Found;
     }
   }
@@ -27,9 +25,7 @@ SharedDagPath DagPathCache::decode(uint64_t ModuleKey, const MapDag &Dag,
   // the same key produce identical paths and either insert wins.
   SharedDagPath Path =
       std::make_shared<std::vector<uint16_t>>(decodeDagPath(Dag, PathBits));
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  if (MissCounter)
-    MissCounter->add();
+  Misses.add();
   std::lock_guard<std::mutex> Lock(S.M);
   S.Map.insertOrAssign(K, Path);
   return Path;

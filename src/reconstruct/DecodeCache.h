@@ -16,7 +16,9 @@
 /// 2.3), so entries stay valid across snaps, buffers and batch runs, and
 /// the cache can be shared by concurrent reconstruction workers. Sharded
 /// locking keeps contention negligible; values are shared_ptrs so a hit
-/// never copies the path.
+/// never copies the path. Hits and misses are counted only in the
+/// registry the cache is built with ("reconstruct.cache_hits" /
+/// "reconstruct.cache_misses"), whose counters shard per thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +29,6 @@
 #include "support/FlatMap.h"
 #include "support/Metrics.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -42,21 +43,19 @@ using SharedDagPath = std::shared_ptr<const std::vector<uint16_t>>;
 
 class DagPathCache {
 public:
+  explicit DagPathCache(MetricsRegistry &Reg)
+      : Hits(Reg.counter("reconstruct.cache_hits")),
+        Misses(Reg.counter("reconstruct.cache_misses")) {}
+
   /// Returns the decoded path of (\p ModuleKey, \p Dag.RelId, \p
   /// PathBits), decoding and inserting on first sight. Thread-safe.
   SharedDagPath decode(uint64_t ModuleKey, const MapDag &Dag,
                        uint32_t PathBits);
 
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-
-  /// Mirrors hit/miss counts into \p Reg as "reconstruct.cache_hits" /
-  /// "reconstruct.cache_misses" (in addition to the local atomics, which
-  /// stay authoritative for pathCache() consumers).
-  void attachRegistry(MetricsRegistry &Reg) {
-    HitCounter = &Reg.counter("reconstruct.cache_hits");
-    MissCounter = &Reg.counter("reconstruct.cache_misses");
-  }
+  /// Lookups counted in the registry: every cache built with the same
+  /// registry adds to the same two counters.
+  uint64_t hits() const { return Hits.value(); }
+  uint64_t misses() const { return Misses.value(); }
 
 private:
   struct Key {
@@ -81,10 +80,8 @@ private:
     FlatMap<Key, SharedDagPath, KeyHasher> Map;
   };
   Shard Shards[ShardCount];
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  Counter *HitCounter = nullptr;
-  Counter *MissCounter = nullptr;
+  Counter &Hits;
+  Counter &Misses;
 };
 
 } // namespace traceback

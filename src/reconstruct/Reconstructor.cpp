@@ -38,15 +38,9 @@ uint64_t mapResidentBytes(const MapFile &M) {
 
 } // namespace
 
-void MapFileStore::accountResident(int64_t Delta) {
-  ResidentBytes = static_cast<uint64_t>(
-      static_cast<int64_t>(ResidentBytes) + Delta);
-  MetricsRegistry::global().gauge("store.bytes_resident").add(Delta);
-}
-
 bool MapFileStore::add(MapFile Map, std::string *Warning) {
   uint64_t Key = Map.Checksum.low64();
-  accountResident(static_cast<int64_t>(mapResidentBytes(Map)));
+  Resident.add(static_cast<int64_t>(mapResidentBytes(Map)));
   if (size_t *Slot = Index.find(Key)) {
     // Last add wins: overwrite the existing slot instead of leaving the
     // index pointing at a stale mapfile.
@@ -56,7 +50,7 @@ bool MapFileStore::add(MapFile Map, std::string *Warning) {
                          Map.Checksum.toHex().c_str(),
                          Map.ModuleName.c_str(),
                          Maps[*Slot].ModuleName.c_str());
-    accountResident(-static_cast<int64_t>(mapResidentBytes(Maps[*Slot])));
+    Resident.add(-static_cast<int64_t>(mapResidentBytes(Maps[*Slot])));
     Maps[*Slot] = std::move(Map);
     return false;
   }
@@ -734,7 +728,8 @@ std::vector<TraceEvent> ThreadBuilder::build(const ThreadSegment &Segment) {
 Reconstructor::Reconstructor(const MapFileStore &Maps,
                              const ReconstructOptions &Opts,
                              MetricsRegistry *Metrics)
-    : Maps(Maps), Opts(Opts) {
+    : Maps(Maps), Opts(Opts),
+      Cache(Metrics ? *Metrics : MetricsRegistry::global()) {
   MetricsRegistry &Reg = Metrics ? *Metrics : MetricsRegistry::global();
   M.Snaps = &Reg.counter("reconstruct.snaps");
   M.Records = &Reg.counter("reconstruct.records");
@@ -742,7 +737,6 @@ Reconstructor::Reconstructor(const MapFileStore &Maps,
   M.PhaseRecoverUs = &Reg.histogram("reconstruct.phase_recover_us");
   M.PhaseBuildUs = &Reg.histogram("reconstruct.phase_build_us");
   M.PhaseMergeUs = &Reg.histogram("reconstruct.phase_merge_us");
-  Cache.attachRegistry(Reg);
 }
 
 namespace {

@@ -29,6 +29,7 @@
 #include "reconstruct/Trace.h"
 #include "runtime/Snap.h"
 #include "support/FlatMap.h"
+#include "support/Metrics.h"
 #include "support/ThreadPool.h"
 
 #include <string>
@@ -63,15 +64,16 @@ public:
   /// Estimated heap bytes held by the registered mapfiles. Also published
   /// to the process-global `store.bytes_resident` gauge (shared with
   /// SignatureStore) so tracer-health snapshots show how much memory the
-  /// always-resident lookup stores cost.
-  uint64_t residentBytes() const { return ResidentBytes; }
+  /// always-resident lookup stores cost; a store gives its share back
+  /// when it is destroyed.
+  uint64_t residentBytes() const {
+    return static_cast<uint64_t>(Resident.value());
+  }
 
 private:
-  void accountResident(int64_t Delta);
-
   std::vector<MapFile> Maps;
   FlatMap64<size_t> Index; ///< Checksum low word -> slot in Maps.
-  uint64_t ResidentBytes = 0;
+  GaugeShare Resident{MetricsRegistry::global().gauge("store.bytes_resident")};
 };
 
 /// Decodes the path a DAG record describes. Returns the DAG-local block
@@ -125,8 +127,9 @@ public:
   ReconstructedTrace reconstruct(const SnapFile &Snap,
                                  ThreadPool *Pool = nullptr) const;
 
-  /// Decode-cache statistics (shared across every snap this instance
-  /// reconstructed).
+  /// Decode-cache statistics, read from this instance's registry: they
+  /// cover every snap it reconstructed, plus the work of any other
+  /// Reconstructor built on the same registry.
   const DagPathCache &pathCache() const { return Cache; }
 
 private:

@@ -33,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace traceback {
@@ -98,6 +99,33 @@ public:
 
 private:
   std::atomic<int64_t> V{0};
+};
+
+/// One owner's contribution to a gauge that several owners add to. The
+/// share is taken back when the owner is destroyed; a copy adds its share
+/// again and a move hands it over, so the gauge always equals the sum
+/// over the owners alive.
+class GaugeShare {
+public:
+  explicit GaugeShare(Gauge &G) : G(&G) {}
+  GaugeShare(const GaugeShare &O) : G(O.G), V(O.V) { G->add(V); }
+  GaugeShare(GaugeShare &&O) noexcept : G(O.G), V(O.V) { O.V = 0; }
+  GaugeShare &operator=(GaugeShare O) noexcept {
+    std::swap(G, O.G);
+    std::swap(V, O.V);
+    return *this;
+  }
+  ~GaugeShare() { G->add(-V); }
+
+  void add(int64_t Delta) {
+    V += Delta;
+    G->add(Delta);
+  }
+  int64_t value() const { return V; }
+
+private:
+  Gauge *G;
+  int64_t V = 0;
 };
 
 //===----------------------------------------------------------------------===//

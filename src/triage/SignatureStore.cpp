@@ -264,9 +264,7 @@ bool SignatureStore::load(const std::string &Path, SignatureStore &Out,
     return false;
   if (!P.finish(Error))
     return false;
-  MetricsRegistry::global()
-      .gauge("store.bytes_resident")
-      .add(static_cast<int64_t>(Out.residentBytes()));
+  Out.Resident.add(static_cast<int64_t>(Out.residentBytes()));
   return true;
 }
 

@@ -32,6 +32,7 @@
 #ifndef TRACEBACK_TRIAGE_SIGNATURESTORE_H
 #define TRACEBACK_TRIAGE_SIGNATURESTORE_H
 
+#include "support/Metrics.h"
 #include "triage/Signature.h"
 
 #include <cstdint>
@@ -68,7 +69,8 @@ public:
   uint64_t totalCount() const;
   /// Estimated heap bytes held by the loaded entries. load() publishes
   /// this to the process-global `store.bytes_resident` gauge (shared
-  /// with MapFileStore).
+  /// with MapFileStore); the store gives it back when it is destroyed or
+  /// reset.
   uint64_t residentBytes() const;
 
   std::string serialize() const;
@@ -87,6 +89,8 @@ public:
 
 private:
   std::vector<SignatureStoreEntry> Entries;
+  /// What load() published to `store.bytes_resident`.
+  GaugeShare Resident{MetricsRegistry::global().gauge("store.bytes_resident")};
 };
 
 } // namespace traceback

@@ -96,14 +96,18 @@ inline Module compileOrDie(const std::string &Source,
   return M;
 }
 
-/// A one-machine, one-process scenario.
+/// A one-machine, one-process scenario. Its runtimes, daemon and
+/// reconstructions report into a registry of its own, so counts read
+/// through count() are this scenario's alone.
 struct SingleProcess {
+  MetricsRegistry Metrics; ///< Declared before D, which reports into it.
   Deployment D;
   Machine *M = nullptr;
   Process *P = nullptr;
   std::vector<Process::OracleEvent> Oracle;
 
   explicit SingleProcess(bool WithOracle = false) {
+    D.Metrics = &Metrics;
     M = D.addMachine("host0");
     P = M->createProcess("app");
     if (WithOracle)
@@ -124,6 +128,11 @@ struct SingleProcess {
     if (!T)
       return World::RunResult::Idle;
     return D.world().run(MaxCycles);
+  }
+
+  /// The current value of counter \p Name.
+  uint64_t count(const std::string &Name) {
+    return Metrics.counter(Name).value();
   }
 };
 

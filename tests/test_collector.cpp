@@ -1284,39 +1284,58 @@ TEST(StoreResidencyTest, BytesResidentGaugeTracksLoads) {
   Gauge &G = MetricsRegistry::global().gauge("store.bytes_resident");
 
   int64_t Before = G.value();
-  MapFileStore MS;
-  MapFile M;
-  M.ModuleName = "modx";
-  M.Checksum = MD5::hash("modx", 4);
-  M.Files = {"a.ml"};
-  M.Dags.emplace_back();
-  MS.add(M);
-  EXPECT_GT(MS.residentBytes(), 0u);
-  EXPECT_EQ(G.value() - Before, static_cast<int64_t>(MS.residentBytes()));
+  {
+    MapFileStore MS;
+    MapFile M;
+    M.ModuleName = "modx";
+    M.Checksum = MD5::hash("modx", 4);
+    M.Files = {"a.ml"};
+    M.Dags.emplace_back();
+    MS.add(M);
+    EXPECT_GT(MS.residentBytes(), 0u);
+    EXPECT_EQ(G.value() - Before, static_cast<int64_t>(MS.residentBytes()));
 
-  // Replacement accounts the old mapfile out, not just the new one in.
-  MapFile M2 = M;
-  M2.Files.push_back("b.ml");
-  MS.add(M2);
-  EXPECT_EQ(G.value() - Before, static_cast<int64_t>(MS.residentBytes()));
+    // Replacement accounts the old mapfile out, not just the new one in.
+    MapFile M2 = M;
+    M2.Files.push_back("b.ml");
+    MS.add(M2);
+    EXPECT_EQ(G.value() - Before, static_cast<int64_t>(MS.residentBytes()));
 
-  // SignatureStore::load publishes the loaded store's residency.
-  FaultSignature Sig;
-  Sig.Kind = "fault:test@modx";
-  Sig.Modules = {"modx"};
-  SignatureStore SS;
-  SS.add(Sig, "label-1");
-  SS.add(Sig, "label-2");
-  std::string Path = tempStoreDir("resid") + ".tbsig";
-  ASSERT_TRUE(SS.save(Path));
-  int64_t Before2 = G.value();
-  SignatureStore Loaded;
-  std::string Err;
-  ASSERT_TRUE(SignatureStore::load(Path, Loaded, Err)) << Err;
-  EXPECT_EQ(Loaded.size(), 1u);
-  EXPECT_GT(Loaded.residentBytes(), 0u);
-  EXPECT_EQ(G.value() - Before2,
-            static_cast<int64_t>(Loaded.residentBytes()));
+    // A copy holds its own mapfiles; a move hands the share over.
+    {
+      MapFileStore Copy = MS;
+      EXPECT_EQ(G.value() - Before,
+                2 * static_cast<int64_t>(MS.residentBytes()));
+      MapFileStore Moved = std::move(Copy);
+      EXPECT_EQ(G.value() - Before,
+                2 * static_cast<int64_t>(MS.residentBytes()));
+    }
+    EXPECT_EQ(G.value() - Before, static_cast<int64_t>(MS.residentBytes()));
+
+    // SignatureStore::load publishes the loaded store's residency.
+    FaultSignature Sig;
+    Sig.Kind = "fault:test@modx";
+    Sig.Modules = {"modx"};
+    SignatureStore SS;
+    SS.add(Sig, "label-1");
+    SS.add(Sig, "label-2");
+    std::string Path = tempStoreDir("resid") + ".tbsig";
+    ASSERT_TRUE(SS.save(Path));
+    int64_t Before2 = G.value();
+    SignatureStore Loaded;
+    std::string Err;
+    ASSERT_TRUE(SignatureStore::load(Path, Loaded, Err)) << Err;
+    EXPECT_EQ(Loaded.size(), 1u);
+    EXPECT_GT(Loaded.residentBytes(), 0u);
+    EXPECT_EQ(G.value() - Before2,
+              static_cast<int64_t>(Loaded.residentBytes()));
+    // Loading again resets the store: its old share goes back first.
+    ASSERT_TRUE(SignatureStore::load(Path, Loaded, Err)) << Err;
+    EXPECT_EQ(G.value() - Before2,
+              static_cast<int64_t>(Loaded.residentBytes()));
+  }
+  // Both stores are gone, and so are their bytes.
+  EXPECT_EQ(G.value(), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1359,24 +1378,24 @@ TEST(CollectorServiceTest, FullQueueDrainsInlineInArrivalOrder) {
   ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
   MetricsRegistry Reg;
   CollectorOptions CO;
-  CO.QueueCapacity = 4;
   CO.Metrics = &Reg;
   CollectorService Svc(St, CO);
 
-  // The fifth push finds the queue full: the four queued images are
-  // stored inline before it queues.
+  // The last push finds the queue full: every queued image is stored
+  // inline before it queues.
+  const size_t Capacity = CollectorService::QueueCapacity;
   std::vector<uint64_t> ExpectedPids;
-  for (int I = 0; I < 5; ++I) {
+  for (size_t I = 0; I <= Capacity; ++I) {
     SnapFile S = makeSnap("m", "app", 600 + I, 100 + I, SnapReason::Api,
                           {{"mod", true}});
     ASSERT_TRUE(Svc.push(S.serialize(), /*SrcMachineId=*/3));
-    ExpectedPids.push_back(600 + static_cast<uint64_t>(I));
+    ExpectedPids.push_back(600 + I);
   }
   EXPECT_EQ(Reg.counter("collector.ingest.inline_drains").value(), 1u);
   EXPECT_EQ(Svc.pending(), 1u);
-  EXPECT_EQ(St.totalEntries(), 4u);
+  EXPECT_EQ(St.totalEntries(), Capacity);
   EXPECT_EQ(Svc.drain(), 1u);
-  EXPECT_EQ(Svc.ingested(), 5u);
+  EXPECT_EQ(Svc.ingested(), Capacity + 1);
   EXPECT_EQ(Svc.errors(), 0u);
 
   std::vector<uint64_t> Pids;

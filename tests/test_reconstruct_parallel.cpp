@@ -123,7 +123,8 @@ TEST(ReconstructParallelProperty, SharedReconstructorAcrossSnaps) {
     Reconstructor R(Store);
     Isolated.push_back(renderEverything(W.Snap, R.reconstruct(W.Snap)));
   }
-  Reconstructor Shared(Store);
+  MetricsRegistry SharedMetrics;
+  Reconstructor Shared(Store, &SharedMetrics);
   for (size_t I = 0; I < Snaps.size(); ++I)
     EXPECT_EQ(Isolated[I], renderEverything(Snaps[I].Snap,
                                             Shared.reconstruct(Snaps[I].Snap)))
@@ -164,7 +165,8 @@ MapDag diamondDag() {
 
 TEST(DagPathCacheTest, HitsAndContentAddressing) {
   MapDag D = diamondDag();
-  DagPathCache Cache;
+  MetricsRegistry Reg;
+  DagPathCache Cache(Reg);
   SharedDagPath P1 = Cache.decode(1, D, 0b101);
   EXPECT_EQ(Cache.misses(), 1u);
   EXPECT_EQ(Cache.hits(), 0u);

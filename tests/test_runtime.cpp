@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+#include "reconstruct/RecordRecovery.h"
 #include "runtime/Runtime.h"
 #include "support/SnapCodec.h"
 
@@ -34,11 +35,9 @@ TEST(RuntimeTest, BufferWrapAndSubBufferCommits) {
   S.D.Policy.SubBufferCount = 4;
   Module M = compileOrDie(LoopSource);
   S.runModule(M, true);
-  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
-  ASSERT_NE(RT, nullptr);
-  EXPECT_GT(RT->stats().BufferWraps, 2u);
-  EXPECT_GT(RT->stats().SubBufferCommits, 2u);
-  EXPECT_GT(RT->stats().FullBufferWraps, 0u) << "ring must lap";
+  EXPECT_GT(S.count("runtime.buffer_wraps"), 2u);
+  EXPECT_GT(S.count("runtime.subbuffer_commits"), 2u);
+  EXPECT_GT(S.count("runtime.full_buffer_wraps"), 0u) << "ring must lap";
   // Reconstruction still yields a (truncated) trace.
   ASSERT_FALSE(S.D.snaps().empty());
   ReconstructedTrace T = S.D.reconstruct(S.D.snaps().back());
@@ -80,7 +79,7 @@ fn main() export {
   ASSERT_NE(S.D.deploy(*S.P, Plain, /*Instrument=*/false, Error), nullptr);
   S.P->start("main");
   S.D.world().run();
-  EXPECT_EQ(RT->stats().BufferWraps, 0u);
+  EXPECT_EQ(S.count("runtime.buffer_wraps"), 0u);
   SnapFile Snap = *RT->takeSnap(SnapReason::External, 0);
   ReconstructedTrace T = S.D.reconstruct(Snap);
   EXPECT_TRUE(T.Threads.empty()) << "no instrumented code ran";
@@ -104,8 +103,7 @@ fn main() export {
 }
 )");
   S.runModule(M, true);
-  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
-  EXPECT_GT(RT->stats().DesperationAssignments, 0u);
+  EXPECT_GT(S.count("runtime.desperation_assignments"), 0u);
   // Reconstruction must drop desperation data with a warning, not crash.
   ReconstructedTrace T = S.D.reconstruct(S.D.snaps().back());
   bool Warned = false;
@@ -134,8 +132,7 @@ fn main() export {
 }
 )");
   S.runModule(M, true);
-  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
-  EXPECT_EQ(RT->stats().DesperationAssignments, 0u)
+  EXPECT_EQ(S.count("runtime.desperation_assignments"), 0u)
       << "sequential threads reuse the one buffer";
   ReconstructedTrace T = S.D.reconstruct(S.D.snaps().back());
   // Both workers' lifetimes are packed into the same buffer.
@@ -170,8 +167,7 @@ fn main() export {
 )");
   S.D.Policy.BufferBytes = 1024;
   S.runModule(M, true);
-  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
-  EXPECT_GT(RT->stats().ThreadsScavenged, 0u)
+  EXPECT_GT(S.count("runtime.threads_scavenged"), 0u)
       << "server thread died abruptly; scavenger must reclaim its buffer";
 }
 
@@ -251,8 +247,7 @@ TEST(RuntimeTest, BadDagFallbackWhenIdSpaceExhausted) {
   LoadedModule *LB = S.D.deploy(*S.P, B, true, Error);
   ASSERT_NE(LB, nullptr) << Error;
   EXPECT_EQ(LB->Mod.DagIdBase, BadDagId);
-  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
-  EXPECT_GT(RT->stats().ModulesBadDag, 0u);
+  EXPECT_GT(S.count("runtime.modules_bad_dag"), 0u);
   S.P->start("main");
   EXPECT_EQ(S.D.world().run(), World::RunResult::AllExited)
       << "bad-DAG module must still execute correctly";
@@ -294,9 +289,8 @@ fn main() export {
 }
 )");
   S.runModule(M, true);
-  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
-  EXPECT_EQ(RT->stats().SnapsTaken, 1u) << "same site snapped once";
-  EXPECT_EQ(RT->stats().SnapsSuppressed, 4u);
+  EXPECT_EQ(S.count("runtime.snaps_taken"), 1u) << "same site snapped once";
+  EXPECT_EQ(S.count("runtime.snaps_suppressed"), 4u);
 }
 
 TEST(RuntimeTest, SnapFileSerializationRoundTrip) {
@@ -396,8 +390,7 @@ fn main() export {
 }
 )");
   S.runModule(M, true);
-  TracebackRuntime *RT = S.D.runtimeFor(*S.P, Technology::Native);
-  EXPECT_GT(RT->stats().DesperationAssignments, 0u)
+  EXPECT_GT(S.count("runtime.desperation_assignments"), 0u)
       << "the second worker must have visited desperation";
   // After the upgrade, thread 3's records live in a real buffer and its
   // trace reconstructs.
@@ -419,23 +412,59 @@ TEST(RuntimeTest, SnapOnExitPolicy) {
 }
 
 TEST(RuntimeTest, TimestampIntervalThrottles) {
-  auto RecordsWritten = [](uint32_t Interval) {
+  // One Timestamp record per Interval syscalls: count the records the
+  // exit snap holds for 64 yields.
+  auto TimestampsRecorded = [](uint32_t Interval) -> uint64_t {
     SingleProcess S;
     S.D.Policy.TimestampInterval = Interval;
     S.D.Policy.SnapOnApi = false;
+    S.D.Policy.SnapOnExit = true;
     Module M = compileOrDie(R"(
 fn main() export {
   for (var i = 0; i < 64; i = i + 1) { yield(); }
 }
 )");
     S.runModule(M, true);
-    return S.D.runtimeFor(*S.P, Technology::Native)
-        ->stats()
-        .RecordsWrittenByRuntime;
+    if (S.D.snaps().size() != 1) {
+      ADD_FAILURE() << "expected one exit snap, got " << S.D.snaps().size();
+      return 0;
+    }
+    const SnapFile &Snap = S.D.snaps().back();
+    uint64_t Count = 0;
+    std::vector<std::string> Warnings;
+    for (const SnapBufferImage &B : Snap.Buffers)
+      for (const ThreadSegment &Seg :
+           recoverBufferRecords(B, Snap.Threads, Warnings))
+        for (const ParsedRecord &R : Seg.Records)
+          Count += R.RecordKind == ParsedRecord::Kind::Ext &&
+                   R.Ext.Type == ExtType::Timestamp;
+    return Count;
   };
-  uint64_t Every = RecordsWritten(1);
-  uint64_t Eighth = RecordsWritten(8);
-  uint64_t Off = RecordsWritten(0);
-  EXPECT_GT(Every, Eighth * 3) << "interval 1 writes ~8x the records";
-  EXPECT_GT(Eighth, Off) << "interval 0 disables timestamps";
+  EXPECT_EQ(TimestampsRecorded(1), 64u);
+  EXPECT_EQ(TimestampsRecorded(8), 8u);
+  EXPECT_EQ(TimestampsRecorded(0), 0u) << "interval 0 disables timestamps";
+}
+
+TEST(RuntimeTest, RegistryIsCurrentMidRun) {
+  // The runtime counts straight into its registry: read mid-run, before
+  // any snap or exit, the counters already hold the wraps and commits
+  // made so far.
+  SingleProcess S;
+  S.D.Policy.BufferBytes = 1024; // Tiny buffers force wraps.
+  S.D.Policy.SubBufferCount = 4;
+  S.D.Policy.SnapOnApi = false;
+  S.D.Policy.SnapOnExit = false;
+  Module M = compileOrDie(R"(
+fn main() export {
+  var s = 0;
+  while (1) {
+    if (s % 2 == 0) { s = s + 3; } else { s = s - 1; }
+  }
+}
+)");
+  ASSERT_EQ(S.runModule(M, true, "main", /*MaxCycles=*/200'000),
+            World::RunResult::CycleLimit);
+  EXPECT_EQ(S.count("runtime.snaps_taken"), 0u);
+  EXPECT_GT(S.count("runtime.buffer_wraps"), 0u);
+  EXPECT_GT(S.count("runtime.subbuffer_commits"), 0u);
 }

@@ -386,7 +386,7 @@ TEST(TransportTest, HealedChannelRecoversViaGapSkip) {
   EXPECT_EQ(F.A.send(FrameType::SnapPush, F.MB->Id, F.payload(42)), 4u);
   // The receiver's gap timeout deliberately exceeds the sender's whole
   // retry horizon, so give the channel two full horizons to resync.
-  F.pumpFor(2 * (F.A.Opt.MaxAttempts + 2) * F.A.Opt.RetryCap);
+  F.pumpFor(2 * TransportEndpoint::GapTimeout);
   ASSERT_TRUE(F.pumpUntilQuiet());
   ASSERT_EQ(F.GotB.size(), 1u) << "gap skip must deliver exactly once";
   EXPECT_EQ(F.GotB[0], F.payload(42));

@@ -567,8 +567,7 @@ TEST(TriageIntegrationTest, DaemonTagsSnapsAtIngest) {
       SawFault = true;
   }
   EXPECT_TRUE(SawFault);
-  EXPECT_GE(MetricsRegistry::global().counter("daemon.triage.tagged").value(),
-            Store.totalCount());
+  EXPECT_GE(S.count("daemon.triage.tagged"), Store.totalCount());
   std::remove(Path.c_str());
 }
 
