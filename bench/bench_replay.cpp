@@ -33,6 +33,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 using namespace traceback;
 using namespace traceback::bench;
 
@@ -41,6 +45,22 @@ namespace {
 /// Hard gate: the bench exits nonzero when recording costs more than this
 /// over the recording-off instrumented run.
 constexpr double RecordThresholdPercent = 15.0;
+
+/// Every timed run builds and tears down a whole deployment. By default
+/// glibc hands the top of the heap back to the kernel when a teardown
+/// frees more than 128 KiB there, so the next run's allocations past what
+/// the process kept land on fresh pages and fault inside the timed
+/// region. How many faults a side takes then follows where its
+/// allocations happen to fall, not what recording costs: dropping 184
+/// bytes from an unrelated runtime object once took the recording-on
+/// runs of a smoke pass from ~650 to ~1,670 minor faults (the off runs
+/// stayed at ~220) and the reading up by several points. A recorded
+/// service keeps its heap for its whole life, so the bench keeps it too.
+void keepHeap() {
+#if defined(__GLIBC__)
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
+}
 
 bool smokeMode() {
   const char *V = std::getenv("TRACEBACK_BENCH_SMOKE");
@@ -231,6 +251,7 @@ int runReplayBench() {
   const uint32_t Iters = smokeMode() ? 60 : 100;
   const uint32_t Reps = smokeMode() ? 3 : 2;
   const uint32_t ReplayStride = smokeMode() ? 4 : 16;
+  keepHeap();
   Totals T = measureFleet(Modules, Iters, Reps, ReplayStride);
 
   double RecordOver = overheadPercent(T.OnNs, T.OffNs);
