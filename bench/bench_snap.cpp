@@ -21,11 +21,12 @@
 //
 //   fan-out       wall time from one faulting snap to all N group-member
 //                 snaps delivered downstream and archived, at N = 8, 64
-//                 and 256 processes: the async ingest queue drained with
-//                 pooled v4 serialization, batched archive writes and
-//                 shared-pointer delivery. The fan-out rig also yields
-//                 the headline size numbers: raw vs v4 bytes/snap of its
-//                 real runtime snaps.
+//                 and 256 processes: the daemon's synchronous
+//                 shared-pointer delivery, with the downstream serializing
+//                 each snap (v4) and appending it through one archive
+//                 handle per repetition. The fan-out rig also yields the
+//                 headline size numbers: raw vs v4 bytes/snap of its real
+//                 runtime snaps.
 //
 // Results go to BENCH_snap.json (BENCH_snap_smoke.json in the ctest
 // smoke run, which also shrinks N to 4 and 8).
@@ -43,7 +44,6 @@
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/SnapCodec.h"
-#include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
 
@@ -191,13 +191,28 @@ struct EncodeResult {
 // Part 2: group-snap fan-out through the daemon.
 // ---------------------------------------------------------------------------
 
-/// The downstream: holds the shared handles it is given, no copies.
+/// The downstream: holds the shared handles it is given, no copies, and
+/// appends each snap's v4 image to \c Archive while one is set.
 class SharedSink : public SnapSink {
 public:
   void onSnap(const std::shared_ptr<const SnapFile> &Snap) override {
     Snaps.push_back(Snap);
+    if (!Archive)
+      return;
+    // One scratch buffer for the whole fan-out: a fresh allocation per
+    // image costs more than the serialize.
+    Image.clear();
+    Snap->serializeTo(Image);
+    if (!Archive->append(Image)) {
+      std::fprintf(stderr, "fan-out archive append failed\n");
+      std::abort();
+    }
   }
   std::vector<std::shared_ptr<const SnapFile>> Snaps;
+  SnapArchiveWriter *Archive = nullptr;
+
+private:
+  std::vector<uint8_t> Image;
 };
 
 // A call-heavy loop with branching: fills the ring with DAG records the
@@ -275,18 +290,8 @@ struct FanoutRig {
   }
 
   /// Time from one faulting snap to all N member snaps delivered + the
-  /// archive written, best of \p Reps.
-  FanoutResult measure(int Reps, const std::string &ArchivePath,
-                       ThreadPool *Pool) {
-    ServiceDaemon::IngestOptions O;
-    O.Async = true;
-    O.QueueCapacity = 2 * Procs + 8;
-    O.ArchivePath = ArchivePath;
-    // Pooled archive serialization only helps with real cores behind it;
-    // on a single-CPU host the drain serializes inline.
-    O.Pool = std::thread::hardware_concurrency() > 1 ? Pool : nullptr;
-    Daemon->configureIngest(O);
-
+  /// archive written and closed, best of \p Reps.
+  FanoutResult measure(int Reps, const std::string &ArchivePath) {
     FanoutResult R;
     R.Procs = Procs;
     R.Sec = 1e100;
@@ -294,13 +299,17 @@ struct FanoutRig {
       std::remove(ArchivePath.c_str());
       Down.Snaps.clear();
       double T0 = now();
+      SnapArchiveWriter Archive;
+      bool Archived = Archive.open(ArchivePath);
+      Down.Archive = &Archive;
       Runtimes[0]->takeSnap(SnapReason::External, 0);
-      Daemon->drainIngest();
+      Archived &= Archive.close();
       double S = now() - T0;
-      if (Down.Snaps.size() != Procs || Daemon->queuedSnaps() != 0) {
-        std::fprintf(stderr,
-                     "fan-out delivered %zu of %u snaps (queued %zu)\n",
-                     Down.Snaps.size(), Procs, Daemon->queuedSnaps());
+      Down.Archive = nullptr;
+      if (!Archived || Down.Snaps.size() != Procs) {
+        std::fprintf(stderr, "fan-out delivered %zu of %u snaps%s\n",
+                     Down.Snaps.size(), Procs,
+                     Archived ? "" : " (archive write failed)");
         std::abort();
       }
       R.Sec = std::min(R.Sec, S);
@@ -329,8 +338,7 @@ struct FanoutRig {
 // ---------------------------------------------------------------------------
 
 void writeJson(const FormatResult &F, const SynthWorkloadOptions &O,
-               const EncodeResult &E, const std::vector<FanoutResult> &Fanout,
-               unsigned PoolJobs) {
+               const EncodeResult &E, const std::vector<FanoutResult> &Fanout) {
   std::string J = "{\n  \"bench\": \"snap\",\n";
   J += formatv("  \"host_hw_threads\": %u,\n",
                std::thread::hardware_concurrency());
@@ -349,7 +357,6 @@ void writeJson(const FormatResult &F, const SynthWorkloadOptions &O,
   J += formatv("  \"encode\": {\"ring_bytes\": 65536, "
                "\"dense_ring_mb_s\": %.1f, \"fleet_ring_mb_s\": %.1f},\n",
                E.DenseMBs, E.FleetMBs);
-  J += formatv("  \"fanout_pool_jobs\": %u,\n", PoolJobs);
   J += "  \"fanout\": [\n";
   for (size_t I = 0; I < Fanout.size(); ++I) {
     const FanoutResult &R = Fanout[I];
@@ -419,10 +426,6 @@ void runSnapBench() {
   std::printf("dense ring MB/s            %12.1f\n", E.DenseMBs);
   std::printf("fleet-shaped ring MB/s     %12.1f\n\n", E.FleetMBs);
 
-  // Fan-out. The pool size is fixed (not hw_concurrency) so results are
-  // comparable across hosts; the JSON records the hw count.
-  unsigned PoolJobs = 4;
-  ThreadPool Pool(PoolJobs);
   std::vector<unsigned> Sizes =
       smokeMode() ? std::vector<unsigned>{4, 8}
                   : std::vector<unsigned>{8, 64, 256};
@@ -433,8 +436,7 @@ void runSnapBench() {
   printRule();
   std::vector<FanoutResult> Fanout;
   for (unsigned N : Sizes) {
-    Fanout.push_back(
-        FanoutRig(N).measure(Reps, "bench_snap_fanout.tbar", &Pool));
+    Fanout.push_back(FanoutRig(N).measure(Reps, "bench_snap_fanout.tbar"));
     std::printf("%6u %12.3f\n", N, Fanout.back().Sec * 1e3);
   }
   printRule();
@@ -449,7 +451,7 @@ void runSnapBench() {
                                  : 0.0);
   std::printf("\n");
 
-  writeJson(F, O, E, Fanout, PoolJobs);
+  writeJson(F, O, E, Fanout);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,16 +23,14 @@ CollectorService::CollectorService(SnapStore &Store, const CollectorOptions &O)
 
 bool CollectorService::push(std::vector<uint8_t> Image,
                             uint64_t SrcMachineId) {
-  ++ReceivedCount;
   CM.Received->add();
   bool Ok = true;
   if (Queue.size() >= QueueCapacity) {
     // Full queue: drain it inline, preserving arrival order, and keep
     // going — back-pressure degrades latency, never durability.
     CM.InlineDrains->add();
-    size_t Before = ErrorCount;
-    drain();
-    Ok = ErrorCount == Before;
+    size_t Queued = Queue.size();
+    Ok = drain() == Queued;
   }
   Queue.push_back({SrcMachineId, std::move(Image)});
   CM.QueueDepth->set(static_cast<int64_t>(Queue.size()));
@@ -63,12 +61,10 @@ bool CollectorService::ingestOne(const Item &It) {
   SnapStore::AppendResult R;
   std::string Error;
   if (!Store.append(It.Image, It.SrcMachineId, R, &Error)) {
-    ++ErrorCount;
     LastError = Error;
     CM.Errors->add();
     return false;
   }
-  ++IngestedCount;
   CM.Ingested->add();
   return true;
 }

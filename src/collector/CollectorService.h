@@ -7,12 +7,11 @@
 /// \file
 /// The fleet-facing half of the collector: an ingestion front that
 /// drains snap images handed to push() (TransportEndpoint snap pushes
-/// included) into a SnapStore. Modeled on the service daemon's async
-/// ingest: arriving images wait in one bounded arrival-order queue, and
-/// drain() stores them in that order, so the store's contents are a
-/// deterministic function of the arrival stream. A full queue drains
-/// inline — ingest back-pressure must never drop a fault snap, the same
-/// rule the daemon's spill path enforces.
+/// included) into a SnapStore. Arriving images wait in one bounded
+/// arrival-order queue, and drain() stores them in that order, so the
+/// store's contents are a deterministic function of the arrival stream.
+/// A full queue drains inline — ingest back-pressure must never drop a
+/// fault snap.
 ///
 /// attachTransport() hooks a TransportEndpoint's delivery handler:
 /// SnapPush frames are enqueued with their source machine id, and every
@@ -72,9 +71,9 @@ public:
 
   // --- Stats ---------------------------------------------------------------
 
-  uint64_t received() const { return ReceivedCount; }
-  uint64_t ingested() const { return IngestedCount; }
-  uint64_t errors() const { return ErrorCount; }
+  uint64_t received() const { return CM.Received->value(); }
+  uint64_t ingested() const { return CM.Ingested->value(); }
+  uint64_t errors() const { return CM.Errors->value(); }
   const std::string &lastError() const { return LastError; }
   SnapStore &store() { return Store; }
 
@@ -92,9 +91,6 @@ private:
   TransportEndpoint *EP = nullptr;
   std::function<void(const struct WireFrame &)> PrevHandler;
 
-  uint64_t ReceivedCount = 0;
-  uint64_t IngestedCount = 0;
-  uint64_t ErrorCount = 0;
   std::string LastError;
 
   struct Instruments {

@@ -6,9 +6,7 @@
 
 #include "distributed/ServiceDaemon.h"
 
-#include "distributed/SnapArchive.h"
 #include "support/Text.h"
-#include "triage/SignatureStore.h"
 #include "vm/World.h"
 
 #include <fstream>
@@ -32,15 +30,7 @@ ServiceDaemon::ServiceDaemon(Machine &M, SnapSink *Downstream,
   DM.HangSnaps = &Reg.counter("daemon.hang_snaps");
   DM.PostMortemSnaps = &Reg.counter("daemon.postmortem_snaps");
   DM.WatchedProcesses = &Reg.gauge("daemon.watched_processes");
-  DM.IngestEnqueued = &Reg.counter("daemon.ingest.enqueued");
-  DM.IngestDelivered = &Reg.counter("daemon.ingest.delivered");
-  DM.IngestSpilled = &Reg.counter("daemon.ingest.spilled");
-  DM.IngestOverflowInline = &Reg.counter("daemon.ingest.overflow_inline");
-  DM.IngestDrains = &Reg.counter("daemon.ingest.drains");
-  DM.IngestArchived = &Reg.counter("daemon.ingest.archived");
-  DM.TriageTagged = &Reg.counter("daemon.triage.tagged");
   DM.LogSidecars = &Reg.counter("daemon.ingest.log_sidecars");
-  DM.IngestQueueDepth = &Reg.gauge("daemon.ingest.queue_depth");
   DM.NetSnapPushes = &Reg.counter("daemon.net.snap_pushes");
   DM.NetSnapsReceived = &Reg.counter("daemon.net.snaps_received");
   DM.NetPushFallback = &Reg.counter("daemon.net.push_fallback");
@@ -58,114 +48,18 @@ void ServiceDaemon::watch(Process &P, TracebackRuntime &RT,
 
 void ServiceDaemon::onSnap(const std::shared_ptr<const SnapFile> &Snap) {
   DM.SnapsReceived->add();
-  if (!Ingest.Async) {
-    deliver(Snap, nullptr, nullptr);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    if (Queue.size() < Ingest.QueueCapacity) {
-      Queue.push_back(Snap);
-      DM.IngestEnqueued->add();
-      DM.IngestQueueDepth->set(static_cast<int64_t>(Queue.size()));
-      return;
-    }
-  }
-  // Back-pressure: the queue is full. Spill the serialized image to the
-  // archive (recoverable later via `tbtool archive`) rather than dropping
-  // a fault snap; with no spill archive configured, fall back to inline
-  // delivery — slower, never lossy.
-  if (!Ingest.SpillPath.empty() &&
-      SnapArchive::appendSnap(Ingest.SpillPath, *Snap)) {
-    DM.IngestSpilled->add();
-    return;
-  }
-  DM.IngestOverflowInline->add();
-  deliver(Snap, nullptr, nullptr);
+  deliver(Snap);
 }
 
-size_t ServiceDaemon::drainIngest() {
-  size_t Delivered = 0;
-  bool Drained = false;
-  // One archive handle for the whole drain: a group snap delivers
-  // hundreds of entries, and per-entry open/close would dominate. It opens
-  // with the first batch: every transport pump drains, mostly with nothing
-  // queued, and must not touch (or create) the archive then.
-  SnapArchiveWriter Writer;
-  for (;;) {
-    // Take everything queued so far as one batch; delivery below may
-    // enqueue GroupPeer snaps, picked up by the next iteration.
-    std::vector<std::shared_ptr<const SnapFile>> Batch;
-    {
-      std::lock_guard<std::mutex> Lock(QueueMutex);
-      Batch.swap(Queue);
-      DM.IngestQueueDepth->set(0);
-    }
-    if (Batch.empty())
-      break;
-    if (!Drained && !Ingest.ArchivePath.empty())
-      Writer.open(Ingest.ArchivePath);
-    Drained = true;
-    // Archive images are independent per snap: with a pool they serialize
-    // concurrently, slot-indexed so completion order never leaks into the
-    // file. Without one, a single scratch buffer is reused across the
-    // batch — a fresh allocation per image costs more than the serialize.
-    const bool Archiving = !Ingest.ArchivePath.empty();
-    std::vector<std::vector<uint8_t>> Images;
-    if (Archiving && Ingest.Pool) {
-      Images.resize(Batch.size());
-      parallelForIndex(Ingest.Pool, Batch.size(), [&](size_t I) {
-        Batch[I]->serializeTo(Images[I]);
-      });
-    }
-    std::vector<uint8_t> Scratch;
-    for (size_t I = 0; I < Batch.size(); ++I) {
-      const std::vector<uint8_t> *Image = nullptr;
-      if (Archiving) {
-        if (Ingest.Pool) {
-          Image = &Images[I];
-        } else {
-          Scratch.clear();
-          Batch[I]->serializeTo(Scratch);
-          Image = &Scratch;
-        }
-      }
-      deliver(Batch[I], Image, Writer.isOpen() ? &Writer : nullptr);
-      DM.IngestDelivered->add();
-      ++Delivered;
-    }
-  }
-  if (Drained)
-    DM.IngestDrains->add();
-  return Delivered;
-}
-
-size_t ServiceDaemon::queuedSnaps() const {
-  std::lock_guard<std::mutex> Lock(QueueMutex);
-  return Queue.size();
-}
-
-void ServiceDaemon::deliver(const std::shared_ptr<const SnapFile> &Snap,
-                            const std::vector<uint8_t> *Image,
-                            SnapArchiveWriter *Writer) {
+void ServiceDaemon::deliver(const std::shared_ptr<const SnapFile> &Snap) {
   if (Net)
-    pushSnapOverNet(Snap, Image);
+    pushSnapOverNet(Snap);
   else if (Downstream)
     Downstream->onSnap(Snap);
-  if (!Ingest.ArchivePath.empty()) {
-    std::vector<uint8_t> Local;
-    if (!Image) {
-      Snap->serializeTo(Local);
-      Image = &Local;
-    }
-    if (Writer ? Writer->append(*Image)
-               : SnapArchive::append(Ingest.ArchivePath, *Image))
-      DM.IngestArchived->add();
-  }
   // Execution-log sidecar: the snap's embedded .tblog, standalone, so
   // replay tooling can pick it up without deserializing the snap image.
-  if (!Ingest.LogDir.empty() && !Snap->ExecLog.empty()) {
-    std::string Path = Ingest.LogDir + "/" + execLogSidecarName(*Snap);
+  if (!LogDir.empty() && !Snap->ExecLog.empty()) {
+    std::string Path = LogDir + "/" + execLogSidecarName(*Snap);
     std::ofstream F(Path, std::ios::binary | std::ios::trunc);
     if (F) {
       F.write(reinterpret_cast<const char *>(Snap->ExecLog.data()),
@@ -174,12 +68,6 @@ void ServiceDaemon::deliver(const std::shared_ptr<const SnapFile> &Snap,
         DM.LogSidecars->add();
     }
   }
-  // Triage tagging: a header-level signature (no reconstruction at the
-  // daemon — there are no mapfiles here) appended beside the archive.
-  if (!Ingest.SignaturePath.empty() &&
-      SignatureStore::append(Ingest.SignaturePath, extractSignature(*Snap),
-                             Snap->ProcessName))
-    DM.TriageTagged->add();
   // Group snaps are best-effort and must not recurse: peers are snapped
   // with reason GroupPeer, which does not propagate further.
   if (Snap->Reason == SnapReason::GroupPeer || InGroupSnap)
@@ -247,16 +135,11 @@ void ServiceDaemon::configureTransport(TransportEndpoint &EP,
   EP.Handler = [this](const WireFrame &F) { onNetFrame(F); };
 }
 
-void ServiceDaemon::pushSnapOverNet(const std::shared_ptr<const SnapFile> &Snap,
-                                    const std::vector<uint8_t> *Image) {
-  // Reuse the archive image when there is one — the bytes the batch drain
-  // serialized once serve both the archive append and the wire push.
-  std::vector<uint8_t> Local;
-  if (!Image) {
-    Snap->serializeTo(Local);
-    Image = &Local;
-  }
-  if (Net->send(FrameType::SnapPush, CollectorMachine, *Image)) {
+void ServiceDaemon::pushSnapOverNet(
+    const std::shared_ptr<const SnapFile> &Snap) {
+  std::vector<uint8_t> Image;
+  Snap->serializeTo(Image);
+  if (Net->send(FrameType::SnapPush, CollectorMachine, Image)) {
     DM.NetSnapPushes->add();
     return;
   }
@@ -331,7 +214,7 @@ void ServiceDaemon::emitMissingPeerMarker(uint64_t PeerMachine,
   Marker->MachineName = PeerName;
   Marker->OsName = M.OsName;
   Marker->Timestamp = M.nowGlobal();
-  deliver(Marker, nullptr, nullptr);
+  deliver(Marker);
 }
 
 size_t ServiceDaemon::pumpTransport() {
@@ -350,8 +233,6 @@ size_t ServiceDaemon::pumpTransport() {
       ++It;
     }
   }
-  if (Ingest.Async)
-    drainIngest();
   return Delivered;
 }
 
@@ -387,7 +268,7 @@ bool traceback::pumpNetworkUntilQuiet(
       if (E->inFlightTotal() || W.netQueued(E->machineId()))
         Quiet = false;
     for (ServiceDaemon *D : Daemons)
-      if (D->queuedSnaps() || D->pendingGroupRequests())
+      if (D->pendingGroupRequests())
         Quiet = false;
     if (Quiet)
       return true;
@@ -428,8 +309,6 @@ size_t ServiceDaemon::snapHungProcesses() {
         ++Count;
       }
   }
-  if (Ingest.Async)
-    drainIngest();
   return Count;
 }
 
@@ -444,9 +323,5 @@ ServiceDaemon::collectPostMortem(Process &P) {
     DM.PostMortemSnaps->add();
     Result.push_back(W.RT->takeSnap(SnapReason::External, 0));
   }
-  // Post-mortem collection is an explicitly synchronous operation: the
-  // caller (and its downstream sink) expect the full picture on return.
-  if (Ingest.Async)
-    drainIngest();
   return Result;
 }

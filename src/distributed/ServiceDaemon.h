@@ -20,19 +20,15 @@
 #include "distributed/Transport.h"
 #include "runtime/Runtime.h"
 #include "runtime/Snap.h"
-#include "support/ThreadPool.h"
 #include "vm/Machine.h"
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace traceback {
-
-class SnapArchiveWriter;
 
 /// One machine's TraceBack service process.
 class ServiceDaemon : public SnapSink {
@@ -44,51 +40,11 @@ public:
 
   Machine &machine() { return M; }
 
-  /// Ingestion behavior. Default is fully synchronous: a snap is forwarded
-  /// downstream inside the producer's delivery call, exactly as before.
-  struct IngestOptions {
-    /// Queue snaps on arrival; delivery happens on drainIngest(). Group
-    /// fan-out still runs at delivery time, so queued GroupPeer snaps
-    /// surface on the following drain pass (drainIngest loops until the
-    /// queue is empty).
-    bool Async = false;
-    /// Bound on queued snaps. On overflow the snap is spilled to
-    /// SpillPath — or delivered inline when no spill archive is
-    /// configured; back-pressure must never drop a fault snap.
-    size_t QueueCapacity = 256;
-    /// Spill archive path ("" = deliver inline on overflow).
-    std::string SpillPath;
-    /// When set, every ingested snap is also appended here as a v4 image
-    /// (the daemon's archival record; see SnapArchive / `tbtool archive`).
-    std::string ArchivePath;
-    /// Used by drainIngest to serialize archive images in parallel.
-    /// Delivery order stays deterministic regardless (global arrival
-    /// order). Null = serialize inline.
-    ThreadPool *Pool = nullptr;
-    /// When set, every delivered snap is tagged with a header-level fault
-    /// signature appended to this ".tbsig" store (see triage/Signature.h).
-    /// The daemon has no mapfiles, so these signatures carry kind, module
-    /// set and markers but no path — enough to index the archive by fault
-    /// and to seed `tbtool triage --diff` baselines.
-    std::string SignaturePath;
-    /// When set, every delivered snap that carries an embedded execution
-    /// log (RtPolicy::RecordExecution) also gets a standalone ".tblog"
-    /// sidecar written into this directory, named by
-    /// execLogSidecarName() — `tbtool replay` finds it from the snap's
-    /// header alone.
-    std::string LogDir;
-  };
-
-  void configureIngest(const IngestOptions &O) { Ingest = O; }
-  const IngestOptions &ingestOptions() const { return Ingest; }
-
-  /// Delivers every queued snap in arrival order, looping until the
-  /// queue stays empty (delivery can enqueue GroupPeer snaps). Returns how
-  /// many snaps were delivered. No-op when async ingestion is off.
-  size_t drainIngest();
-
-  /// Snaps currently queued.
-  size_t queuedSnaps() const;
+  /// When set, every delivered snap that carries an embedded execution
+  /// log (RtPolicy::RecordExecution) also gets a standalone ".tblog"
+  /// sidecar written into \p Dir, named by execLogSidecarName() —
+  /// `tbtool replay` finds it from the snap's header alone.
+  void setLogDir(std::string Dir) { LogDir = std::move(Dir); }
 
   /// Registers a traced process (and its runtime) with the daemon and
   /// assigns it to a named process group. Groups may span machines when
@@ -118,10 +74,9 @@ public:
 
   /// Pumps the endpoint: arrived frames are dispatched (snap pushes
   /// forwarded downstream, group-snap requests executed and acked,
-  /// heartbeats recorded), outstanding group requests whose peer went
-  /// unreachable are converted to MISSING-PEER markers, and — in async
-  /// ingest mode — the snap queue is drained. Returns how many data
-  /// frames the endpoint delivered.
+  /// heartbeats recorded), and outstanding group requests whose peer went
+  /// unreachable are converted to MISSING-PEER markers. Returns how many
+  /// data frames the endpoint delivered.
   size_t pumpTransport();
 
   /// Sends a Heartbeat frame to every linked peer machine.
@@ -138,8 +93,8 @@ public:
   // --- SnapSink ----------------------------------------------------------
 
   /// Receives a snap from a watched runtime: forwards the same shared
-  /// instance downstream (or queues it, in async mode) and triggers group
-  /// snaps on the faulting process's peers.
+  /// instance downstream and triggers group snaps on the faulting
+  /// process's peers.
   void onSnap(const std::shared_ptr<const SnapFile> &Snap) override;
 
   // --- Heartbeats (section 3.7.5) ----------------------------------------
@@ -157,9 +112,7 @@ public:
 
   /// Post-mortem collection for a process that died abruptly (kill -9):
   /// reads buffers straight out of the dead process image. Returns shared
-  /// handles to the snaps produced (also forwarded downstream; in async
-  /// mode the queue is drained before returning, so the downstream sink
-  /// has seen everything).
+  /// handles to the snaps produced (also forwarded downstream).
   std::vector<std::shared_ptr<const SnapFile>> collectPostMortem(Process &P);
 
 private:
@@ -173,11 +126,9 @@ private:
 
   size_t groupSnap(const std::string &Group, uint64_t ExceptPid);
 
-  /// Pushes \p Snap to the collector machine, reusing \p Image (the drain's
-  /// archive image) when given and serializing otherwise; falls back to
-  /// the direct downstream call when the collector is unreachable.
-  void pushSnapOverNet(const std::shared_ptr<const SnapFile> &Snap,
-                       const std::vector<uint8_t> *Image);
+  /// Serializes \p Snap and pushes it to the collector machine; falls
+  /// back to the direct downstream call when the collector is unreachable.
+  void pushSnapOverNet(const std::shared_ptr<const SnapFile> &Snap);
 
   /// Transport handler: one in-order data frame from a peer machine.
   void onNetFrame(const WireFrame &F);
@@ -188,12 +139,9 @@ private:
                              const std::string &PeerName,
                              const std::string &Group);
 
-  /// The synchronous delivery tail shared by both modes: downstream
-  /// forward, optional archive append (\p Image = pre-serialized bytes,
-  /// null = serialize here; \p Writer = a batch-held archive handle,
-  /// null = open per append), then group fan-out.
-  void deliver(const std::shared_ptr<const SnapFile> &Snap,
-               const std::vector<uint8_t> *Image, SnapArchiveWriter *Writer);
+  /// Delivers one snap: forward (or push over the network), write the
+  /// execution-log sidecar, then fan out to the group.
+  void deliver(const std::shared_ptr<const SnapFile> &Snap);
 
   Machine &M;
   SnapSink *Downstream;
@@ -213,13 +161,8 @@ private:
   uint64_t NextRequestId = 1;
   std::map<uint64_t, HeartbeatMsg> PeerHeartbeats;
 
-  IngestOptions Ingest;
-  mutable std::mutex QueueMutex;
-  /// Arrival order. A vector, not a deque: a deque allocates when it is
-  /// constructed, and one more allocation per daemon moved the heap under
-  /// the execution recorder's buffer enough to cost bench_replay's
-  /// record-overhead gate about four points.
-  std::vector<std::shared_ptr<const SnapFile>> Queue;
+  /// Execution-log sidecar directory ("" = none; see setLogDir).
+  std::string LogDir;
 
   /// "daemon." instruments, resolved once at construction.
   struct Instruments {
@@ -229,16 +172,7 @@ private:
     Counter *HangSnaps = nullptr;
     Counter *PostMortemSnaps = nullptr;
     Gauge *WatchedProcesses = nullptr;
-    // Ingest-path back-pressure family ("daemon.ingest.*").
-    Counter *IngestEnqueued = nullptr;
-    Counter *IngestDelivered = nullptr;
-    Counter *IngestSpilled = nullptr;
-    Counter *IngestOverflowInline = nullptr;
-    Counter *IngestDrains = nullptr;
-    Counter *IngestArchived = nullptr;
-    Counter *TriageTagged = nullptr;
     Counter *LogSidecars = nullptr;
-    Gauge *IngestQueueDepth = nullptr;
     // Network-mode family ("daemon.net.*"; the endpoint owns the
     // frame-level counters, these are the daemon-protocol ones).
     Counter *NetSnapPushes = nullptr;
@@ -252,7 +186,7 @@ private:
   Instruments DM;
 };
 
-/// Name of the ".tblog" sidecar IngestOptions::LogDir archives for a
+/// Name of the ".tblog" sidecar ServiceDaemon::setLogDir archives for a
 /// snap: derived from header fields only (pid, runtime id, timestamp), so
 /// any tool holding a snap can locate its execution log.
 std::string execLogSidecarName(const SnapFile &S);
@@ -260,10 +194,10 @@ std::string execLogSidecarName(const SnapFile &S);
 /// Pumps every daemon's transport endpoint (plus any extra endpoints —
 /// typically the collector machine's), advancing idle world time between
 /// rounds, until the network is quiet: no packets queued or in flight, no
-/// un-acked frames, no pending group requests, no queued snaps. Returns
-/// false when \p MaxCycles of idle advance pass without quiescence — a
-/// transport hang, which the chaos sweeps assert never happens (partition
-/// detection bounds every wait).
+/// un-acked frames, no pending group requests. Returns false when
+/// \p MaxCycles of idle advance pass without quiescence — a transport
+/// hang, which the chaos sweeps assert never happens (partition detection
+/// bounds every wait).
 bool pumpNetworkUntilQuiet(World &W,
                            const std::vector<ServiceDaemon *> &Daemons,
                            const std::vector<TransportEndpoint *> &Extra = {},

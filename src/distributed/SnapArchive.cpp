@@ -90,18 +90,6 @@ bool SnapArchiveWriter::close() {
   return Ok;
 }
 
-bool SnapArchive::append(const std::string &Path,
-                         const std::vector<uint8_t> &Image) {
-  SnapArchiveWriter W;
-  return W.open(Path) && W.append(Image) && W.close();
-}
-
-bool SnapArchive::appendSnap(const std::string &Path, const SnapFile &S) {
-  std::vector<uint8_t> Image;
-  S.serializeTo(Image);
-  return append(Path, Image);
-}
-
 SnapArchiveReader::~SnapArchiveReader() {
   if (F)
     std::fclose(static_cast<std::FILE *>(F));

@@ -5,18 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The service daemon's append-only on-disk snap store. Two jobs: the
-/// spill target when the bounded ingest queue overflows (back-pressure
-/// must never drop a fault snap), and the optional archival record of
-/// every snap a daemon ingested (`tbtool archive` lists and extracts).
+/// TBAR, the append-only framing of the snap store's payload shards and
+/// its index journal (collector/SnapStore). `tbtool archive` lists and
+/// extracts the snaps of a TBAR file.
 ///
 /// File layout: u32 magic "TBAR", u32 archive version, then frames of
-/// `u8 0xA5 marker, u32 body size, body bytes`. In a daemon archive or a
-/// store's payload shard each body is a complete serialized snap (any
-/// supported format version); the snap store's index journal uses the
-/// same framing for its records. The marker byte lets a reader detect a
-/// torn tail from a crashed writer and stop at the last intact frame
-/// instead of failing the whole file.
+/// `u8 0xA5 marker, u32 body size, body bytes`. In a payload shard each
+/// body is a complete serialized snap (any supported format version); the
+/// index journal uses the same framing for its records. The marker byte
+/// lets a reader detect a torn tail from a crashed writer and stop at the
+/// last intact frame instead of failing the whole file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,18 +38,10 @@ struct SnapArchiveEntry {
   SnapFile Header;         ///< Header fields when HeaderOk (payloads empty).
 };
 
-/// Static helpers over the archive file format (the daemon serializes all
-/// access itself; these do not lock).
+/// Static readers over the archive file format (they do not lock; writes
+/// go through SnapArchiveWriter).
 class SnapArchive {
 public:
-  /// Appends one serialized snap image, creating the archive (with its
-  /// file header) if needed. Returns false on I/O failure.
-  static bool append(const std::string &Path,
-                     const std::vector<uint8_t> &Image);
-
-  /// Serializes \p S (current format) and appends it.
-  static bool appendSnap(const std::string &Path, const SnapFile &S);
-
   /// Lists every intact entry, parsing each image's header (never its
   /// payload sections). A torn final entry is ignored. Returns false when
   /// the file is missing or not an archive, or at a corrupt frame (the
@@ -112,9 +102,9 @@ private:
   End Stop = End::Clean;
 };
 
-/// Keeps the archive open across a batch of appends: one open/close per
-/// ingest drain instead of per snap, which matters when a group snap
-/// lands hundreds of entries at once.
+/// Appends frames to a TBAR file, keeping it open across a batch of
+/// appends: one open/close per batch instead of per snap, which matters
+/// when a group snap lands hundreds of entries at once.
 class SnapArchiveWriter {
 public:
   SnapArchiveWriter() = default;

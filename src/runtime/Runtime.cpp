@@ -707,9 +707,9 @@ TracebackRuntime::takeSnap(SnapReason Reason, uint16_t Detail) {
     // space the thread has not reached.
     P.Mem.readInto(B.RecordsBase, B.totalWords() * 4, Img.Raw, &NeverWritten);
     // Pre-encode while the bytes are cache-hot and the page table still
-    // says which of them were never written: the daemon's archive path
-    // serializes this snap well after capture, when re-reading the raw
-    // words would miss. The encoder steps over those ranges instead of
+    // says which of them were never written: the daemon's network push
+    // and the store serialize this snap after capture, when re-reading
+    // the raw words would miss. The encoder steps over those ranges instead of
     // scanning them, and writes the stream an unhinted encode would.
     snapEncodeTo(Img.Raw.data(), Img.Raw.size(), Img.Encoded, NeverWritten);
     S.Buffers.push_back(std::move(Img));

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// One pull interface for the stored ways snaps reach a tool: a directory
-/// of .tbsnap files (tbtool batch modes) and a TBAR archive (daemon
-/// spill/archival). Readers loop over `SnapSource::next`/`nextImage`, so
-/// the directory and archive cases differ only in which source is
-/// constructed. Live network pushes go straight to
-/// CollectorService::push.
+/// of .tbsnap files (tbtool batch modes) and a TBAR archive (such as a
+/// snap store's payload shard). Readers loop over
+/// `SnapSource::next`/`nextImage`, so the directory and archive cases
+/// differ only in which source is constructed. Live network pushes go
+/// straight to CollectorService::push.
 ///
 /// Header-only by design: tb_support gains no link dependencies; a TU
 /// that instantiates ArchiveSnapSource links tb_distributed exactly as

@@ -13,28 +13,6 @@
 
 using namespace traceback;
 
-namespace {
-
-const char *StoreHeader = "TBSIG v1\n";
-
-/// One entry block in the store format. Shared by serialize() and
-/// append() so the two writers cannot drift.
-std::string entryBlock(const FaultSignature &Sig, uint64_t Count,
-                       const std::vector<std::string> &Labels) {
-  std::string Out = formatv("sig %016llx\n",
-                            static_cast<unsigned long long>(
-                                Sig.fingerprint()));
-  Out += formatv("count %llu\n", static_cast<unsigned long long>(Count));
-  for (const std::string &L : Labels)
-    if (!L.empty())
-      Out += "label " + L + "\n";
-  Out += Sig.canonicalText();
-  Out += "end\n";
-  return Out;
-}
-
-} // namespace
-
 void SignatureStore::add(const FaultSignature &Sig, const std::string &Label,
                          uint64_t Count) {
   uint64_t FP = Sig.fingerprint();
@@ -90,9 +68,17 @@ uint64_t SignatureStore::residentBytes() const {
 }
 
 std::string SignatureStore::serialize() const {
-  std::string Out = StoreHeader;
-  for (const SignatureStoreEntry &E : Entries)
-    Out += entryBlock(E.Sig, E.Count, E.Labels);
+  std::string Out = "TBSIG v1\n";
+  for (const SignatureStoreEntry &E : Entries) {
+    Out += formatv("sig %016llx\n", static_cast<unsigned long long>(
+                                         E.Sig.fingerprint()));
+    Out += formatv("count %llu\n", static_cast<unsigned long long>(E.Count));
+    for (const std::string &L : E.Labels)
+      if (!L.empty())
+        Out += "label " + L + "\n";
+    Out += E.Sig.canonicalText();
+    Out += "end\n";
+  }
   return Out;
 }
 
@@ -266,26 +252,4 @@ bool SignatureStore::load(const std::string &Path, SignatureStore &Out,
     return false;
   Out.Resident.add(static_cast<int64_t>(Out.residentBytes()));
   return true;
-}
-
-bool SignatureStore::append(const std::string &Path,
-                            const FaultSignature &Sig,
-                            const std::string &Label) {
-  bool NeedHeader = true;
-  if (std::FILE *Probe = std::fopen(Path.c_str(), "rb")) {
-    char C;
-    NeedHeader = std::fread(&C, 1, 1, Probe) != 1;
-    std::fclose(Probe);
-  }
-  std::FILE *F = std::fopen(Path.c_str(), "ab");
-  if (!F)
-    return false;
-  std::string Text;
-  if (NeedHeader)
-    Text = StoreHeader;
-  Text += entryBlock(Sig, 1, {Label});
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size();
-  Ok &= std::fclose(F) == 0;
-  return Ok;
 }

@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent half of triage: a textual, append-friendly store of
-/// fault signatures (".tbsig") that lives alongside the daemon's TBAR
-/// snap archive. Two producers write it: the service daemon tags every
-/// ingested snap with a header-level signature at delivery time, and
-/// `tbtool triage --store` persists full (path-bearing) signatures so a
-/// later run can be diffed against this one (`tbtool triage --diff`) —
-/// the regression check "which faults are new in run B?".
+/// The persistent half of triage: a textual store of fault signatures
+/// (".tbsig"). `tbtool triage --store` persists full (path-bearing)
+/// signatures so a later run can be diffed against this one
+/// (`tbtool triage --diff`) — the regression check "which faults are new
+/// in run B?".
 ///
 /// The format is line-oriented text, indexable by fingerprint, mergeable
 /// by concatenation, and reviewable in a diff — the same reasons the
@@ -80,12 +78,6 @@ public:
   bool save(const std::string &Path) const;
   static bool load(const std::string &Path, SignatureStore &Out,
                    std::string &Error);
-
-  /// Appends one signature record to \p Path, writing the file header
-  /// first when the store is new — the daemon's per-snap tagging path
-  /// (no read-modify-write; duplicate fingerprints merge at load).
-  static bool append(const std::string &Path, const FaultSignature &Sig,
-                     const std::string &Label = "");
 
 private:
   std::vector<SignatureStoreEntry> Entries;

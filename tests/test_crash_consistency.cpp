@@ -144,14 +144,6 @@ TEST(CrashConsistencyTest, KillSweepRecoversGoldenPrefix) {
     S.D.world().Injector = &FI;
     ServiceDaemon *Daemon = S.D.daemonFor(*S.M);
     ASSERT_NE(Daemon, nullptr);
-    // Half the sweep ingests through the async queue
-    // (collectPostMortem drains it before returning), so the kill points
-    // also cover the queued-delivery path.
-    if (Run % 2) {
-      ServiceDaemon::IngestOptions IO;
-      IO.Async = true;
-      Daemon->configureIngest(IO);
-    }
     S.runModule(compileOrDie(SweepWorkload), /*Instrument=*/true);
     ASSERT_TRUE(S.P->HardKilled)
         << "seed " << Seed << ": kill at slice "

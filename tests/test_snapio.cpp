@@ -6,7 +6,7 @@
 // per-section compression), version compatibility of the serialized
 // snap image, a fuzz corpus of damaged images (every byte of a snap may
 // cross a machine boundary or a crashed daemon's disk), the append-only
-// archive, and the daemon's async ingestion with back-pressure.
+// archive, and the daemon's delivery path.
 // Runs in the `snapio` ctest label; seeds replay via TRACEBACK_TEST_SEED.
 //
 //===----------------------------------------------------------------------===//
@@ -17,6 +17,7 @@
 #include "distributed/SnapArchive.h"
 #include "distributed/Wire.h"
 #include "reconstruct/SynthWorkload.h"
+#include "replay/Recorder.h"
 #include "runtime/TraceRecord.h"
 #include "support/ByteStream.h"
 #include "support/MD5.h"
@@ -793,9 +794,14 @@ TEST(SnapArchiveTest, OpenFailsCleanlyOnBadPath) {
 TEST(SnapArchiveTest, TornTailIsToleratedGarbageIsNot) {
   TempFile F("test_snapio_torn.tbar");
   std::vector<uint8_t> Img = synthSnap(41).serialize();
-  ASSERT_TRUE(SnapArchive::append(F.Path, Img));
-  ASSERT_TRUE(SnapArchive::append(F.Path, Img));
-  // A crashed daemon: marker + size frame written, image cut short.
+  {
+    SnapArchiveWriter W;
+    ASSERT_TRUE(W.open(F.Path));
+    ASSERT_TRUE(W.append(Img));
+    ASSERT_TRUE(W.append(Img));
+    ASSERT_TRUE(W.close());
+  }
+  // A crashed writer: marker + size frame written, image cut short.
   {
     std::FILE *File = std::fopen(F.Path.c_str(), "ab");
     ASSERT_NE(File, nullptr);
@@ -846,7 +852,7 @@ TEST(SnapArchiveTest, SourceYieldsIntactEntriesOfATornArchive) {
     }
     ASSERT_TRUE(W.append(std::vector<uint8_t>(64, 0x5A)));
   }
-  // A crashed daemon: the final frame claims one byte more than follows.
+  // A crashed writer: the final frame claims one byte more than follows.
   std::filesystem::resize_file(F.Path, std::filesystem::file_size(F.Path) - 1);
   std::vector<SnapArchiveEntry> Entries;
   ASSERT_TRUE(SnapArchive::list(F.Path, Entries));
@@ -864,7 +870,7 @@ TEST(SnapArchiveTest, SourceYieldsIntactEntriesOfATornArchive) {
 }
 
 // ----------------------------------------------------------------------------
-// Daemon ingestion: async queues, back-pressure, the archival record.
+// Daemon delivery: group fan-out, the zero-copy hand-off, log sidecars.
 // ----------------------------------------------------------------------------
 
 namespace {
@@ -942,120 +948,50 @@ struct GroupRig {
 
 } // namespace
 
-TEST(DaemonIngestTest, AsyncDrainDeliversFaultThenGroupPeers) {
+TEST(DaemonIngestTest, DeliversFaultThenGroupPeers) {
+  // The faulting snap reaches downstream inside its own delivery call,
+  // and the group fan-out it triggers follows with the peer's snap.
   GroupRig Rig;
-  ServiceDaemon *Daemon = Rig.D.daemonFor(*Rig.M);
-  ASSERT_NE(Daemon, nullptr);
-  ServiceDaemon::IngestOptions O;
-  O.Async = true;
-  Daemon->configureIngest(O);
-
   Rig.run();
-  // The snap is parked in the ingest queue until the daemon drains: no
-  // downstream delivery yet, and no group fan-out.
-  EXPECT_TRUE(Rig.D.snaps().empty());
-  EXPECT_EQ(Daemon->queuedSnaps(), 1u);
-  EXPECT_EQ(Rig.counter("daemon.ingest.enqueued"), 1u);
-
-  // The drain delivers the faulting snap, which fans out a GroupPeer snap
-  // of the peer — picked up by the same drain's next pass.
-  EXPECT_EQ(Daemon->drainIngest(), 2u);
   ASSERT_EQ(Rig.D.snaps().size(), 2u);
   EXPECT_EQ(Rig.D.snaps()[0].Pid, Rig.Snapper->Pid);
   EXPECT_EQ(Rig.D.snaps()[1].Pid, Rig.Peer->Pid);
   EXPECT_EQ(Rig.D.snaps()[1].Reason, SnapReason::GroupPeer);
-  EXPECT_EQ(Rig.counter("daemon.ingest.enqueued"), 2u);
-  EXPECT_EQ(Rig.counter("daemon.ingest.delivered"), 2u);
-  EXPECT_EQ(Rig.counter("daemon.ingest.drains"), 1u);
-  EXPECT_EQ(Daemon->queuedSnaps(), 0u);
-  // Nothing left: a second drain is a no-op.
-  EXPECT_EQ(Daemon->drainIngest(), 0u);
+  EXPECT_EQ(Rig.counter("daemon.snaps_received"), 2u);
 }
 
-TEST(DaemonIngestTest, OverflowSpillsToArchiveInsteadOfDropping) {
-  TempFile Spill("test_snapio_spill.tbar");
-  GroupRig Rig;
-  ServiceDaemon *Daemon = Rig.D.daemonFor(*Rig.M);
-  ServiceDaemon::IngestOptions O;
-  O.Async = true;
-  O.QueueCapacity = 0; // Every snap overflows.
-  O.SpillPath = Spill.Path;
-  Daemon->configureIngest(O);
-
-  Rig.run();
-  EXPECT_EQ(Rig.counter("daemon.ingest.spilled"), 1u);
-  EXPECT_EQ(Daemon->drainIngest(), 0u);
-  EXPECT_TRUE(Rig.D.snaps().empty()) << "spilled snaps bypass downstream";
-
-  // The spilled image is recoverable and intact.
-  std::vector<SnapArchiveEntry> Entries;
-  ASSERT_TRUE(SnapArchive::list(Spill.Path, Entries));
-  ASSERT_EQ(Entries.size(), 1u);
-  std::vector<uint8_t> Image;
-  ASSERT_TRUE(SnapArchive::extract(Spill.Path, 0, Image));
-  SnapFile S;
-  ASSERT_TRUE(SnapFile::deserialize(Image, S));
-  EXPECT_EQ(S.Pid, Rig.Snapper->Pid);
-}
-
-TEST(DaemonIngestTest, OverflowWithoutSpillDeliversInline) {
-  GroupRig Rig;
-  ServiceDaemon *Daemon = Rig.D.daemonFor(*Rig.M);
-  ServiceDaemon::IngestOptions O;
-  O.Async = true;
-  O.QueueCapacity = 0;
-  Daemon->configureIngest(O);
-
-  Rig.run();
-  // Back-pressure must never lose a fault snap: with no spill archive the
-  // snap (and its group fan-out) delivered synchronously during the run.
-  EXPECT_EQ(Rig.D.snaps().size(), 2u);
-  EXPECT_EQ(Rig.counter("daemon.ingest.overflow_inline"), 2u);
-  EXPECT_EQ(Rig.counter("daemon.ingest.delivered"), 0u);
-}
-
-TEST(DaemonIngestTest, ArchiveRecordsEveryIngestedSnap) {
-  TempFile Archive("test_snapio_archive.tbar");
-  GroupRig Rig;
-  ServiceDaemon *Daemon = Rig.D.daemonFor(*Rig.M);
-  ServiceDaemon::IngestOptions O;
-  O.Async = true;
-  O.ArchivePath = Archive.Path;
-  Daemon->configureIngest(O);
-
-  Rig.run();
-  EXPECT_EQ(Daemon->drainIngest(), 2u);
-  EXPECT_EQ(Rig.counter("daemon.ingest.archived"), 2u);
-
-  std::vector<SnapArchiveEntry> Entries;
-  ASSERT_TRUE(SnapArchive::list(Archive.Path, Entries));
-  ASSERT_EQ(Entries.size(), 2u);
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    EXPECT_EQ(Entries[I].FormatVersion, 4u);
-    EXPECT_TRUE(Entries[I].HeaderOk);
-    std::vector<uint8_t> Image;
-    ASSERT_TRUE(SnapArchive::extract(Archive.Path, I, Image));
-    SnapFile S;
-    ASSERT_TRUE(SnapFile::deserialize(Image, S)) << "entry " << I;
+TEST(DaemonIngestTest, LogDirWritesOneSidecarPerRecordedSnap) {
+  // `tbtool serve --record`'s sidecar writer: every delivered snap that
+  // embeds an execution log gets exactly one .tblog holding those bytes,
+  // and a daemon with no log directory writes none.
+  namespace fs = std::filesystem;
+  const fs::path Dir = "test_snapio_sidecars";
+  for (bool WithDir : {true, false}) {
+    SCOPED_TRACE(WithDir ? "log dir set" : "no log dir");
+    fs::remove_all(Dir);
+    fs::create_directory(Dir);
+    GroupRig Rig;
+    Rig.D.Policy.RecordExecution = true;
+    ExecutionRecorder Rec;
+    Rec.attach(Rig.D);
+    if (WithDir)
+      Rig.D.daemonFor(*Rig.M)->setLogDir(Dir.string());
+    Rig.run();
+    ASSERT_EQ(Rig.D.snaps().size(), 2u);
+    for (const SnapFile &S : Rig.D.snaps()) {
+      ASSERT_FALSE(S.ExecLog.empty());
+      if (!WithDir)
+        continue;
+      std::vector<uint8_t> Log;
+      ASSERT_TRUE(readFileBytes((Dir / execLogSidecarName(S)).string(), Log));
+      EXPECT_EQ(Log, S.ExecLog);
+    }
+    size_t Files = static_cast<size_t>(std::distance(
+        fs::directory_iterator(Dir), fs::directory_iterator()));
+    EXPECT_EQ(Files, WithDir ? Rig.D.snaps().size() : 0u);
+    EXPECT_EQ(Rig.counter("daemon.ingest.log_sidecars"), Files);
   }
-  EXPECT_EQ(Entries[0].Header.Pid, Rig.Snapper->Pid);
-  EXPECT_EQ(Entries[1].Header.Pid, Rig.Peer->Pid);
-}
-
-TEST(DaemonIngestTest, IdlePumpLeavesNoArchive) {
-  // Every transport pump drains the ingest queue. With nothing queued the
-  // drain must not open the archive, or an idle daemon creates one.
-  TempFile Archive("test_snapio_idle.tbar");
-  Deployment D;
-  Machine *M = D.addMachine("idle");
-  D.enableNetworkTransport();
-  ServiceDaemon::IngestOptions O;
-  O.Async = true;
-  O.ArchivePath = Archive.Path;
-  D.daemonFor(*M)->configureIngest(O);
-  ASSERT_TRUE(D.pumpNetwork());
-  EXPECT_EQ(D.daemonFor(*M)->drainIngest(), 0u);
-  EXPECT_FALSE(std::filesystem::exists(Archive.Path));
+  fs::remove_all(Dir);
 }
 
 namespace {
@@ -1072,32 +1008,26 @@ struct SharedCollectingSink : SnapSink {
 
 TEST(DaemonIngestTest, TakeSnapPointerReachesDownstreamUncopied) {
   // The instance takeSnap returns is the one downstream receives first,
-  // and each group member's snap arrives exactly once, inline or drained.
-  for (bool Async : {false, true}) {
-    World W;
-    MetricsRegistry Reg;
-    Machine *M = W.createMachine("host0");
-    SharedCollectingSink Down;
-    ServiceDaemon Daemon(*M, &Down, &Reg);
-    ServiceDaemon::IngestOptions O;
-    O.Async = Async;
-    Daemon.configureIngest(O);
-    std::vector<std::unique_ptr<TracebackRuntime>> Runtimes;
-    for (int I = 0; I < 3; ++I) {
-      Process *P = M->createProcess("member" + std::to_string(I));
-      Runtimes.push_back(std::make_unique<TracebackRuntime>(
-          *P, Technology::Native, RtPolicy(), &Daemon, nullptr, &Reg));
-      P->attachRuntime(Runtimes.back().get());
-      Daemon.watch(*P, *Runtimes.back(), "group");
-    }
-    std::shared_ptr<const SnapFile> Taken =
-        Runtimes[0]->takeSnap(SnapReason::External, 0);
-    EXPECT_EQ(Daemon.drainIngest(), Async ? 3u : 0u);
-    ASSERT_EQ(Down.Snaps.size(), 3u) << "async=" << Async;
-    EXPECT_EQ(Down.Snaps[0].get(), Taken.get()) << "async=" << Async;
-    std::set<uint64_t> Pids;
-    for (const auto &S : Down.Snaps)
-      Pids.insert(S->Pid);
-    EXPECT_EQ(Pids.size(), 3u) << "async=" << Async;
+  // and each group member's snap arrives exactly once.
+  World W;
+  MetricsRegistry Reg;
+  Machine *M = W.createMachine("host0");
+  SharedCollectingSink Down;
+  ServiceDaemon Daemon(*M, &Down, &Reg);
+  std::vector<std::unique_ptr<TracebackRuntime>> Runtimes;
+  for (int I = 0; I < 3; ++I) {
+    Process *P = M->createProcess("member" + std::to_string(I));
+    Runtimes.push_back(std::make_unique<TracebackRuntime>(
+        *P, Technology::Native, RtPolicy(), &Daemon, nullptr, &Reg));
+    P->attachRuntime(Runtimes.back().get());
+    Daemon.watch(*P, *Runtimes.back(), "group");
   }
+  std::shared_ptr<const SnapFile> Taken =
+      Runtimes[0]->takeSnap(SnapReason::External, 0);
+  ASSERT_EQ(Down.Snaps.size(), 3u);
+  EXPECT_EQ(Down.Snaps[0].get(), Taken.get());
+  std::set<uint64_t> Pids;
+  for (const auto &S : Down.Snaps)
+    Pids.insert(S->Pid);
+  EXPECT_EQ(Pids.size(), 3u);
 }

@@ -40,10 +40,6 @@ using namespace traceback::testing_helpers;
 
 namespace {
 
-std::string tempPath(const char *Name) {
-  return std::string("/tmp/tbtest_triage_") + Name;
-}
-
 MD5Digest digestOf(const std::string &Text) {
   MD5 Hash;
   Hash.update(Text.data(), Text.size());
@@ -457,28 +453,31 @@ TEST(SignatureStoreTest, SerializeParseRoundTrip) {
       << "fields outside an entry";
 }
 
-TEST(SignatureStoreTest, AppendOnlyTaggingMergesAtLoad) {
-  std::string Path = tempPath("append.tbsig");
-  std::remove(Path.c_str());
-
+TEST(SignatureStoreTest, ConcatenatedStoresMergeAtParse) {
   HandMade A;
   FaultSignature S1 = extractSignature(A.Snap, A.Trace);
   SnapFile Marker = missingPeerMarker("gamma", 3);
   FaultSignature S2 = extractSignature(Marker);
 
-  // The daemon path: one append per delivered snap, no read-modify-write.
-  ASSERT_TRUE(SignatureStore::append(Path, S1, "app"));
-  ASSERT_TRUE(SignatureStore::append(Path, S1, "app"));
-  ASSERT_TRUE(SignatureStore::append(Path, S2, "default"));
+  // Two stores' records under one header: a repeated fingerprint folds
+  // into one entry whose count and labels add up.
+  SignatureStore First, Second;
+  First.add(S1, "app");
+  Second.add(S1, "app2");
+  Second.add(S2, "default");
+  std::string SecondText = Second.serialize();
+  std::string Text =
+      First.serialize() + SecondText.substr(SecondText.find('\n') + 1);
 
   SignatureStore Back;
   std::string Error;
-  ASSERT_TRUE(SignatureStore::load(Path, Back, Error)) << Error;
-  ASSERT_EQ(Back.size(), 2u) << "duplicate fingerprints merge at load";
+  ASSERT_TRUE(SignatureStore::parse(Text, Back, Error)) << Error;
+  ASSERT_EQ(Back.size(), 2u) << "duplicate fingerprints merge at parse";
   const SignatureStoreEntry *E = Back.byFingerprint(S1.fingerprint());
   ASSERT_NE(E, nullptr);
   EXPECT_EQ(E->Count, 2u);
-  std::remove(Path.c_str());
+  EXPECT_EQ(E->Labels, pathOf({"app", "app2"}));
+  EXPECT_TRUE(Back.contains(S2.fingerprint()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -538,37 +537,6 @@ TEST(TriageIntegrationTest, SignatureStableAcrossJobsAndCache) {
   }
   EXPECT_EQ(Sigs[0].Kind, "fault:access violation@app");
   EXPECT_FALSE(Sigs[0].Path.empty());
-}
-
-TEST(TriageIntegrationTest, DaemonTagsSnapsAtIngest) {
-  std::string Path = tempPath("daemon.tbsig");
-  std::remove(Path.c_str());
-
-  SingleProcess S;
-  ServiceDaemon *Daemon = S.D.daemonFor(*S.M);
-  ASSERT_NE(Daemon, nullptr);
-  ServiceDaemon::IngestOptions IO;
-  IO.SignaturePath = Path;
-  Daemon->configureIngest(IO);
-  S.runModule(compileOrDie(CrashWorkload, "app"), /*Instrument=*/true);
-  ASSERT_FALSE(S.D.snaps().empty());
-
-  SignatureStore Store;
-  std::string Error;
-  ASSERT_TRUE(SignatureStore::load(Path, Store, Error)) << Error;
-  EXPECT_EQ(Store.totalCount(), S.D.snaps().size())
-      << "every delivered snap gets tagged";
-  // Header-level tags: the fault kind and module set are there, the path
-  // is not (no mapfiles at the daemon).
-  bool SawFault = false;
-  for (const SignatureStoreEntry &E : Store.entries()) {
-    EXPECT_TRUE(E.Sig.Path.empty());
-    if (E.Sig.Kind == "fault:access violation@app")
-      SawFault = true;
-  }
-  EXPECT_TRUE(SawFault);
-  EXPECT_GE(S.count("daemon.triage.tagged"), Store.totalCount());
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -364,8 +364,8 @@ int cmdInfo(ArgList A) {
   return 0;
 }
 
-/// `tbtool archive`: lists / extracts entries of a daemon snap archive
-/// (ingest spill files and archival records; see SnapArchive).
+/// `tbtool archive`: lists / extracts the snaps of a TBAR file, such as a
+/// snap store's payload shard (see SnapArchive).
 int cmdArchive(ArgList A) {
   std::string FErr;
   if (!A.finish(FErr))
@@ -1258,11 +1258,8 @@ int cmdServe(ArgList A) {
     }
     if (Record)
       for (const auto &M : D.world().Machines)
-        if (ServiceDaemon *Dm = D.daemonFor(*M)) {
-          ServiceDaemon::IngestOptions IO = Dm->ingestOptions();
-          IO.LogDir = StoreDir;
-          Dm->configureIngest(IO);
-        }
+        if (ServiceDaemon *Dm = D.daemonFor(*M))
+          Dm->setLogDir(StoreDir);
 
     D.world().run();
     bool Quiet = D.pumpNetwork();
