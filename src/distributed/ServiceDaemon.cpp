@@ -6,19 +6,9 @@
 
 #include "distributed/ServiceDaemon.h"
 
-#include "support/Text.h"
 #include "vm/World.h"
 
-#include <fstream>
-
 using namespace traceback;
-
-std::string traceback::execLogSidecarName(const SnapFile &S) {
-  return formatv("snap-p%llu-r%llu-t%llu.tblog",
-                 static_cast<unsigned long long>(S.Pid),
-                 static_cast<unsigned long long>(S.RuntimeId),
-                 static_cast<unsigned long long>(S.Timestamp));
-}
 
 ServiceDaemon::ServiceDaemon(Machine &M, SnapSink *Downstream,
                              MetricsRegistry *Metrics)
@@ -30,7 +20,6 @@ ServiceDaemon::ServiceDaemon(Machine &M, SnapSink *Downstream,
   DM.HangSnaps = &Reg.counter("daemon.hang_snaps");
   DM.PostMortemSnaps = &Reg.counter("daemon.postmortem_snaps");
   DM.WatchedProcesses = &Reg.gauge("daemon.watched_processes");
-  DM.LogSidecars = &Reg.counter("daemon.ingest.log_sidecars");
   DM.NetSnapPushes = &Reg.counter("daemon.net.snap_pushes");
   DM.NetSnapsReceived = &Reg.counter("daemon.net.snaps_received");
   DM.NetPushFallback = &Reg.counter("daemon.net.push_fallback");
@@ -56,18 +45,6 @@ void ServiceDaemon::deliver(const std::shared_ptr<const SnapFile> &Snap) {
     pushSnapOverNet(Snap);
   else if (Downstream)
     Downstream->onSnap(Snap);
-  // Execution-log sidecar: the snap's embedded .tblog, standalone, so
-  // replay tooling can pick it up without deserializing the snap image.
-  if (!LogDir.empty() && !Snap->ExecLog.empty()) {
-    std::string Path = LogDir + "/" + execLogSidecarName(*Snap);
-    std::ofstream F(Path, std::ios::binary | std::ios::trunc);
-    if (F) {
-      F.write(reinterpret_cast<const char *>(Snap->ExecLog.data()),
-              static_cast<std::streamsize>(Snap->ExecLog.size()));
-      if (F.good())
-        DM.LogSidecars->add();
-    }
-  }
   // Group snaps are best-effort and must not recurse: peers are snapped
   // with reason GroupPeer, which does not propagate further.
   if (Snap->Reason == SnapReason::GroupPeer || InGroupSnap)

@@ -40,12 +40,6 @@ public:
 
   Machine &machine() { return M; }
 
-  /// When set, every delivered snap that carries an embedded execution
-  /// log (RtPolicy::RecordExecution) also gets a standalone ".tblog"
-  /// sidecar written into \p Dir, named by execLogSidecarName() —
-  /// `tbtool replay` finds it from the snap's header alone.
-  void setLogDir(std::string Dir) { LogDir = std::move(Dir); }
-
   /// Registers a traced process (and its runtime) with the daemon and
   /// assigns it to a named process group. Groups may span machines when
   /// daemons share a downstream sink.
@@ -139,8 +133,8 @@ private:
                              const std::string &PeerName,
                              const std::string &Group);
 
-  /// Delivers one snap: forward (or push over the network), write the
-  /// execution-log sidecar, then fan out to the group.
+  /// Delivers one snap: forward (or push over the network), then fan out
+  /// to the group.
   void deliver(const std::shared_ptr<const SnapFile> &Snap);
 
   Machine &M;
@@ -161,9 +155,6 @@ private:
   uint64_t NextRequestId = 1;
   std::map<uint64_t, HeartbeatMsg> PeerHeartbeats;
 
-  /// Execution-log sidecar directory ("" = none; see setLogDir).
-  std::string LogDir;
-
   /// "daemon." instruments, resolved once at construction.
   struct Instruments {
     Counter *SnapsReceived = nullptr;
@@ -172,7 +163,6 @@ private:
     Counter *HangSnaps = nullptr;
     Counter *PostMortemSnaps = nullptr;
     Gauge *WatchedProcesses = nullptr;
-    Counter *LogSidecars = nullptr;
     // Network-mode family ("daemon.net.*"; the endpoint owns the
     // frame-level counters, these are the daemon-protocol ones).
     Counter *NetSnapPushes = nullptr;
@@ -185,11 +175,6 @@ private:
   };
   Instruments DM;
 };
-
-/// Name of the ".tblog" sidecar ServiceDaemon::setLogDir archives for a
-/// snap: derived from header fields only (pid, runtime id, timestamp), so
-/// any tool holding a snap can locate its execution log.
-std::string execLogSidecarName(const SnapFile &S);
 
 /// Pumps every daemon's transport endpoint (plus any extra endpoints —
 /// typically the collector machine's), advancing idle world time between

@@ -14,6 +14,8 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <deque>
+#include <optional>
 
 using namespace traceback;
 
@@ -24,16 +26,42 @@ namespace {
 /// gauge answers "roughly how much memory do resident stores hold", not
 /// an allocator audit.
 uint64_t mapResidentBytes(const MapFile &M) {
-  uint64_t B = sizeof(MapFile) + M.ModuleName.size();
+  uint64_t B = sizeof(MapFile) + sizeof(MapFileNames) + M.ModuleName.size();
   for (const std::string &F : M.Files)
-    B += sizeof(std::string) + F.size();
+    B += sizeof(std::string) + sizeof(InternedString) + F.size();
   for (const MapDag &D : M.Dags) {
-    B += sizeof(MapDag);
+    B += sizeof(MapDag) + sizeof(uint32_t);
     for (const MapBlock &Blk : D.Blocks)
-      B += sizeof(MapBlock) + Blk.Succs.size() * sizeof(uint16_t) +
+      B += sizeof(MapBlock) + sizeof(InternedString) +
+           Blk.Succs.size() * sizeof(uint16_t) +
            Blk.Lines.size() * sizeof(MapLine) + Blk.Function.size();
   }
   return B;
+}
+
+MapFileNames internNames(const MapFile &M) {
+  MapFileNames N;
+  N.Module = InternedString(M.ModuleName);
+  N.Files.reserve(M.Files.size());
+  for (const std::string &F : M.Files)
+    N.Files.emplace_back(F);
+  size_t Blocks = 0;
+  for (const MapDag &D : M.Dags)
+    Blocks += D.Blocks.size();
+  N.Functions.reserve(Blocks);
+  N.FirstFunction.reserve(M.Dags.size());
+  // A function's blocks sit together, so intern each run of equal names
+  // once.
+  InternedString Function;
+  for (const MapDag &D : M.Dags) {
+    N.FirstFunction.push_back(static_cast<uint32_t>(N.Functions.size()));
+    for (const MapBlock &B : D.Blocks) {
+      if (B.Function != Function.str())
+        Function = InternedString(B.Function);
+      N.Functions.push_back(Function);
+    }
+  }
+  return N;
 }
 
 } // namespace
@@ -51,10 +79,12 @@ bool MapFileStore::add(MapFile Map, std::string *Warning) {
                          Map.ModuleName.c_str(),
                          Maps[*Slot].ModuleName.c_str());
     Resident.add(-static_cast<int64_t>(mapResidentBytes(Maps[*Slot])));
+    Names[*Slot] = internNames(Map);
     Maps[*Slot] = std::move(Map);
     return false;
   }
   Index.insertOrAssign(Key, Maps.size());
+  Names.push_back(internNames(Map));
   Maps.push_back(std::move(Map));
   return true;
 }
@@ -218,11 +248,54 @@ std::vector<uint16_t> traceback::decodeDagPath(const MapDag &Dag,
 
 namespace {
 
+/// Events an extension record of \p Type adds to a thread's history (see
+/// ThreadBuilder::emitExt); exception trimming only ever removes events.
+size_t extEventCount(ExtType Type) {
+  switch (Type) {
+  case ExtType::Sync:
+  case ExtType::Exception:
+  case ExtType::ExceptionEnd:
+  case ExtType::ThreadStart:
+  case ExtType::ThreadEnd:
+    return 1;
+  default:
+    return 0;
+  }
+}
+
+/// The redundancy-vs-repetition rule of section 4.2 for adjacent lines:
+/// if \p E is the same line as the kept event \p P, merges it into \p P
+/// (provenance: \p PProv and \p EProv, see ThreadBuilder::Provenance) and
+/// returns true. Adjacent identical lines are either redundant expansions
+/// of one expression split across blocks (merged silently) or genuine
+/// repeated executions, e.g. a loop body on one line (merged with a
+/// repeat count): a repeat is recognized by control moving backward or a
+/// new trace record starting.
+bool mergeAdjacentLine(TraceEvent &P, uint64_t &PProv, const TraceEvent &E,
+                       uint64_t EProv) {
+  if (E.EventKind != TraceEvent::Kind::Line ||
+      P.EventKind != TraceEvent::Kind::Line || P.Module != E.Module ||
+      P.File != E.File || P.Line != E.Line || P.Depth != E.Depth)
+    return false;
+  bool NewRecord = (EProv >> 32) != (PProv >> 32);
+  bool Backward = (EProv & 0xFFFFFFFF) <= (PProv & 0xFFFFFFFF);
+  if (NewRecord || Backward)
+    ++P.Repeat; // Loop-style repetition.
+  // Either way the adjacent duplicate is merged; keep the newest flags so
+  // call/ret annotations survive.
+  P.BlockFlags |= E.BlockFlags;
+  P.Trimmed = E.Trimmed;
+  PProv = EProv;
+  return true;
+}
+
 /// Builder state for one thread's events. With \p Legacy set it
 /// reproduces the original per-record resolution and decoding exactly
-/// (the benchmark baseline); otherwise module/mapfile/DAG resolution is
-/// memoized per DAG id and decoding goes through the shared cache when
-/// one is supplied.
+/// (the benchmark baseline). Otherwise module/mapfile/DAG resolution is
+/// memoized per DAG id, decoding goes through the shared cache when one
+/// is supplied, every record is resolved and decoded before the first
+/// event is written so the event array is allocated once at its final
+/// size, and redundancy collapse runs one record behind emission.
 class ThreadBuilder {
 public:
   ThreadBuilder(const SnapFile &Snap, const MapFileStore &Maps,
@@ -244,22 +317,37 @@ private:
     /// stream the original per-record path produced.
     std::string Warning;
     /// Module label of the Untraced placeholder event on failure.
-    std::string UntracedLabel;
-    /// Interned names, precomputed once per DAG id so event emission is
-    /// pointer stores (memoized mode only; legacy interns per event).
+    InternedString UntracedLabel;
+    /// Names the DAG's events carry, interned once with the mapfile
+    /// (memoized mode only; legacy interns per event).
     InternedString ModName;
-    std::vector<InternedString> FileNames; ///< By mapfile file index.
-    std::vector<InternedString> BlockFuncs; ///< By DAG-local block index.
+    const MapFileNames *Names = nullptr;
+    const InternedString *BlockFuncs = nullptr; ///< By DAG-local block index.
+  };
+
+  /// A decoded path as the segment memo holds it.
+  struct MemoPath {
+    SharedDagPath Path;
+    size_t Lines = 0; ///< Line events the path emits.
+  };
+
+  /// What the sizing pass found for one DAG record.
+  struct PlannedRecord {
+    const ResolvedDag *Resolved = nullptr;       ///< Null for a bad DAG id.
+    const std::vector<uint16_t> *Path = nullptr; ///< Null unless resolved.
   };
 
   ResolvedDag resolveFresh(uint32_t DagId) const;
   const ResolvedDag &resolveMemoized(uint32_t DagId);
+  const MemoPath &decodeMemoized(uint32_t DagId, uint32_t Bits,
+                                 const ResolvedDag &R);
+  size_t plan(const ThreadSegment &Segment);
 
-  void emitDagRecord(uint32_t Word);
+  void emitDagRecord(uint32_t Word, const PlannedRecord *Planned);
   void emitExt(const ExtRecord &Rec);
   void applyExceptionTrim(const TraceEvent &Exc);
-  void collapseRedundancy(std::vector<TraceEvent> &Events,
-                          std::vector<uint64_t> &Provenance);
+  void collapsePending();
+  void collapseLegacy();
 
   const SnapModuleInfo *moduleForDagId(uint32_t DagId) const;
 
@@ -269,22 +357,33 @@ private:
   DagPathCache *Cache;
   const bool Legacy;
 
-  /// DAG id -> resolution, one entry per distinct id seen in this
-  /// segment (snap module tables are per-snap, so the memo cannot
-  /// outlive the builder).
-  FlatMap64<ResolvedDag> ResolveMemo;
+  /// One resolution per distinct DAG id seen in this segment (snap module
+  /// tables are per-snap, so the memo cannot outlive the builder). A
+  /// deque, so the plan may point at its entries.
+  std::deque<ResolvedDag> Resolved;
+  FlatMap64<const ResolvedDag *> ResolveMemo; ///< DAG id -> its entry.
 
   /// (DAG id << PathBitCount | path bits) -> decoded path. Lock-free
   /// fast path in front of the shared cache: only the first sighting of
   /// a pair in this segment takes the cache's shard mutex (or, with the
   /// cache disabled, runs the DFS). DAG ids are unique across a snap's
   /// modules, so the key cannot collide.
-  FlatMap64<SharedDagPath> PathMemo;
+  FlatMap64<MemoPath> PathMemo;
+
+  /// Memoized mode: each DAG record's resolution and path, in record
+  /// order.
+  std::vector<PlannedRecord> Plan;
 
   std::vector<TraceEvent> Events;
-  /// Per event: (record serial << 32) | block start offset — provenance
-  /// for the redundancy-vs-repetition heuristic.
+  /// Per event not yet collapsed: (record serial << 32) | block start
+  /// offset — provenance for the redundancy-vs-repetition rule. Legacy
+  /// mode collapses once at the end, so it holds every event's.
   std::vector<uint64_t> Provenance;
+  /// Memoized mode: Events[0, PendingFrom) are collapsed; the events from
+  /// PendingFrom on (the latest DAG record's and the extension events
+  /// after it) wait, because an exception may still trim that record.
+  size_t PendingFrom = 0;
+  uint64_t KeptProv = 0; ///< Provenance of Events[PendingFrom - 1].
 
   uint32_t Depth = 0;
   bool PendingCall = false;
@@ -358,54 +457,100 @@ ThreadBuilder::ResolvedDag ThreadBuilder::resolveFresh(uint32_t DagId) const {
 
 const ThreadBuilder::ResolvedDag &
 ThreadBuilder::resolveMemoized(uint32_t DagId) {
-  if (const ResolvedDag *Found = ResolveMemo.find(DagId))
-    return *Found;
-  ResolvedDag R = resolveFresh(DagId);
+  if (const ResolvedDag *const *Found = ResolveMemo.find(DagId))
+    return **Found;
+  ResolvedDag &R = Resolved.emplace_back(resolveFresh(DagId));
   if (R.Dag) {
-    // Intern every name the DAG's events can carry, once per id.
-    R.ModName = InternedString(R.Mod->Name);
-    R.FileNames.reserve(R.Map->Files.size());
-    for (const std::string &F : R.Map->Files)
-      R.FileNames.push_back(InternedString(F));
-    R.BlockFuncs.reserve(R.Dag->Blocks.size());
-    for (const MapBlock &B : R.Dag->Blocks)
-      R.BlockFuncs.push_back(InternedString(B.Function));
+    R.Names = &Maps.names(*R.Map);
+    R.BlockFuncs = R.Names->functionsOf(*R.Map, *R.Dag);
+    // The snap names the module as it was loaded; that is the mapfile's
+    // name unless the module was renamed, which alone takes the pool lock.
+    R.ModName = R.Mod->Name == R.Names->Module.str()
+                    ? R.Names->Module
+                    : InternedString(R.Mod->Name);
   }
-  ResolveMemo.insertOrAssign(DagId, std::move(R));
-  return *ResolveMemo.find(DagId);
+  ResolveMemo.insertOrAssign(DagId, &R);
+  return R;
 }
 
-void ThreadBuilder::emitDagRecord(uint32_t Word) {
+const ThreadBuilder::MemoPath &
+ThreadBuilder::decodeMemoized(uint32_t DagId, uint32_t Bits,
+                              const ResolvedDag &R) {
+  uint64_t Key = (static_cast<uint64_t>(DagId) << PathBitCount) | Bits;
+  if (const MemoPath *Found = PathMemo.find(Key))
+    return *Found;
+  MemoPath M;
+  M.Path = Cache ? Cache->decode(R.Mod->Checksum.low64(), *R.Dag, Bits)
+                 : std::make_shared<const std::vector<uint16_t>>(
+                       decodeDagPath(*R.Dag, Bits));
+  for (uint16_t BI : *M.Path)
+    M.Lines += R.Dag->Blocks[BI].Lines.size();
+  PathMemo.insertOrAssign(Key, std::move(M));
+  return *PathMemo.find(Key);
+}
+
+size_t ThreadBuilder::plan(const ThreadSegment &Segment) {
+  size_t Total = 0;
+  Plan.reserve(Segment.Records.size());
+  for (const ParsedRecord &Rec : Segment.Records) {
+    if (Rec.RecordKind != ParsedRecord::Kind::Dag) {
+      Total += extEventCount(Rec.Ext.Type);
+      continue;
+    }
+    PlannedRecord &P = Plan.emplace_back();
+    uint32_t DagId = dagIdOfRecord(Rec.DagWord);
+    size_t Lines = 1; // The Untraced placeholder, unless the path decodes.
+    if (DagId != BadDagId) {
+      P.Resolved = &resolveMemoized(DagId);
+      if (P.Resolved->Dag) {
+        const MemoPath &M = decodeMemoized(
+            DagId, pathBitsOfRecord(Rec.DagWord), *P.Resolved);
+        P.Path = M.Path.get();
+        if (!P.Path->empty())
+          Lines = M.Lines;
+      }
+    }
+    Total += Lines;
+  }
+  return Total;
+}
+
+void ThreadBuilder::emitDagRecord(uint32_t Word,
+                                  const PlannedRecord *Planned) {
   ++RecordSerial;
   if (Legacy) {
     LastDag = LastDagInfo(); // Pre-PR behaviour: frees FirstEvent's
                              // buffer on every record.
   } else {
+    // No exception can trim the previous record any more.
+    collapsePending();
     LastDag.Valid = false;
     LastDag.Path = nullptr;
   }
   uint32_t DagId = dagIdOfRecord(Word);
   uint32_t Bits = pathBitsOfRecord(Word);
 
-  auto EmitUntraced = [&](const std::string &Why) {
-    TraceEvent E;
+  auto EmitUntraced = [&](InternedString Why) {
+    TraceEvent &E = Events.emplace_back();
     E.EventKind = TraceEvent::Kind::Untraced;
     E.Module = Why;
     E.Timestamp = LastTs;
     E.Depth = Depth;
-    Events.push_back(std::move(E));
     Provenance.push_back(RecordSerial << 32);
     PendingCall = false;
   };
 
   if (DagId == BadDagId) {
-    EmitUntraced("<bad-dag module>");
+    static const InternedString BadDag("<bad-dag module>");
+    EmitUntraced(BadDag);
     return;
   }
 
-  ResolvedDag Fresh;
-  const ResolvedDag &R = Legacy ? (Fresh = resolveFresh(DagId))
-                                : resolveMemoized(DagId);
+  // Legacy resolves every record afresh; memoized mode resolved them all
+  // while sizing the event array.
+  std::optional<ResolvedDag> Fresh;
+  const ResolvedDag &R =
+      Legacy ? Fresh.emplace(resolveFresh(DagId)) : *Planned->Resolved;
   if (!R.Warning.empty())
     Warnings.push_back(R.Warning);
   if (!R.Dag) {
@@ -416,29 +561,19 @@ void ThreadBuilder::emitDagRecord(uint32_t Word) {
   const MapFile *Map = R.Map;
   const MapDag *Dag = R.Dag;
 
-  const std::vector<uint16_t> *Path = nullptr;
+  const std::vector<uint16_t> *Path = Planned ? Planned->Path : nullptr;
   SharedDagPath Owned;
   if (Legacy) {
     Owned = std::make_shared<const std::vector<uint16_t>>(
         decodeDagPath(*Dag, Bits));
     Path = Owned.get();
-  } else {
-    uint64_t Key = (static_cast<uint64_t>(DagId) << PathBitCount) | Bits;
-    if (const SharedDagPath *Found = PathMemo.find(Key)) {
-      Path = Found->get();
-    } else {
-      Owned = Cache ? Cache->decode(Mod->Checksum.low64(), *Dag, Bits)
-                    : std::make_shared<const std::vector<uint16_t>>(
-                          decodeDagPath(*Dag, Bits));
-      PathMemo.insertOrAssign(Key, Owned);
-      Path = Owned.get();
-    }
   }
   if (Path->empty()) {
     Warnings.push_back(
         formatv("module %s dag %u: path bits 0x%x do not decode",
                 Mod->Name.c_str(), DagId - Mod->DagIdBase, Bits));
-    EmitUntraced("<undecodable path>");
+    static const InternedString Undecodable("<undecodable path>");
+    EmitUntraced(Undecodable);
     return;
   }
 
@@ -459,28 +594,39 @@ void ThreadBuilder::emitDagRecord(uint32_t Word) {
     if ((B.Flags & MBF_FuncEntry) && PendingCall)
       ++Depth;
     PendingCall = false;
-    for (const MapLine &L : B.Lines) {
-      TraceEvent E;
-      E.EventKind = TraceEvent::Kind::Line;
-      if (Legacy) {
-        // Per-event interning: the pre-PR cost shape (three per-event
-        // string operations), without keeping a second event type.
+    const uint64_t Prov = (RecordSerial << 32) | B.StartOffset;
+    if (Legacy) {
+      for (const MapLine &L : B.Lines) {
+        // Per-event interning and a copy per event: the pre-PR cost
+        // shape, without keeping a second event type.
+        TraceEvent E;
         E.Module = InternedString(Mod->Name);
         E.File = InternedString(Map->fileName(L.FileIndex));
         E.Function = InternedString(B.Function);
-      } else {
-        E.Module = R.ModName;
-        E.File = L.FileIndex < R.FileNames.size()
-                     ? R.FileNames[L.FileIndex]
-                     : InternedString(Map->fileName(L.FileIndex));
-        E.Function = R.BlockFuncs[BI];
+        E.Line = L.Line;
+        E.BlockFlags = B.Flags;
+        E.Depth = Depth;
+        E.Timestamp = LastTs;
+        Events.push_back(E);
+        Provenance.push_back(Prov);
       }
-      E.Line = L.Line;
-      E.BlockFlags = B.Flags;
-      E.Depth = Depth;
-      E.Timestamp = LastTs;
-      Events.push_back(E);
-      Provenance.push_back((RecordSerial << 32) | B.StartOffset);
+    } else {
+      const std::vector<InternedString> &Files = R.Names->Files;
+      const InternedString Function = R.BlockFuncs[BI];
+      for (const MapLine &L : B.Lines) {
+        TraceEvent &E = Events.emplace_back();
+        E.Module = R.ModName;
+        // An index past the file table (a corrupt mapfile) names "?".
+        E.File = L.FileIndex < Files.size()
+                     ? Files[L.FileIndex]
+                     : InternedString(Map->fileName(L.FileIndex));
+        E.Function = Function;
+        E.Line = L.Line;
+        E.BlockFlags = B.Flags;
+        E.Depth = Depth;
+        E.Timestamp = LastTs;
+        Provenance.push_back(Prov);
+      }
     }
     if (B.Flags & MBF_EndsInRet) {
       if (Depth > 0)
@@ -534,7 +680,7 @@ void ThreadBuilder::applyExceptionTrim(const TraceEvent &Exc) {
     }
     if (CutFrom < Events.size()) {
       Events.resize(CutFrom);
-      Provenance.resize(CutFrom);
+      Provenance.resize(CutFrom - PendingFrom);
     }
     if (!Events.empty() &&
         Events.back().EventKind == TraceEvent::Kind::Line)
@@ -619,103 +765,65 @@ void ThreadBuilder::emitExt(const ExtRecord &Rec) {
   }
 }
 
-void ThreadBuilder::collapseRedundancy(std::vector<TraceEvent> &Evs,
-                                       std::vector<uint64_t> &Prov) {
-  // Adjacent identical lines are either redundant expansions of one
-  // expression split across blocks (merge silently) or genuine repeated
-  // executions, e.g. a loop body on one line (merge with a repeat count) —
-  // the heuristic of section 4.2: a repeat is recognized by control moving
-  // backward or a new trace record starting.
-  if (!Legacy) {
-    // In-place compaction: events are trivially copyable, and most keep
-    // their slot, so no second arena and no per-event copy.
-    size_t W = 0;
-    for (size_t I = 0; I < Evs.size(); ++I) {
-      TraceEvent &E = Evs[I];
-      if (E.EventKind == TraceEvent::Kind::Line && W > 0) {
-        TraceEvent &P = Evs[W - 1];
-        if (P.EventKind == TraceEvent::Kind::Line &&
-            P.Module == E.Module && P.File == E.File && P.Line == E.Line &&
-            P.Depth == E.Depth) {
-          uint64_t PrevProv = Prov[W - 1];
-          uint64_t CurProv = Prov[I];
-          bool NewRecord = (CurProv >> 32) != (PrevProv >> 32);
-          bool Backward = (CurProv & 0xFFFFFFFF) <= (PrevProv & 0xFFFFFFFF);
-          if (NewRecord || Backward)
-            ++P.Repeat;
-          P.BlockFlags |= E.BlockFlags;
-          P.Trimmed = E.Trimmed;
-          Prov[W - 1] = CurProv;
-          continue;
-        }
-      }
-      if (W != I) {
-        Evs[W] = E;
-        Prov[W] = Prov[I];
-      }
-      ++W;
-    }
-    Evs.resize(W);
-    Prov.resize(W);
-    return;
+/// Folds the waiting events (from PendingFrom on) into the collapsed
+/// prefix.
+void ThreadBuilder::collapsePending() {
+  // In place: events are trivially copyable and most keep their slot.
+  // Collapsing in record-sized steps gives exactly what one pass over the
+  // whole array would: the rule only looks at the last kept event.
+  size_t W = PendingFrom;
+  for (size_t I = PendingFrom; I < Events.size(); ++I) {
+    uint64_t Prov = Provenance[I - PendingFrom];
+    if (W > 0 && mergeAdjacentLine(Events[W - 1], KeptProv, Events[I], Prov))
+      continue;
+    if (W != I)
+      Events[W] = Events[I];
+    KeptProv = Prov;
+    ++W;
   }
+  Events.resize(W);
+  Provenance.clear();
+  PendingFrom = W;
+}
 
+/// The baseline's collapse: one pass after emission into fresh arrays.
+void ThreadBuilder::collapseLegacy() {
   std::vector<TraceEvent> Out;
   std::vector<uint64_t> OutProv;
-  Out.reserve(Evs.size());
-  OutProv.reserve(Prov.size());
-  for (size_t I = 0; I < Evs.size(); ++I) {
-    TraceEvent &E = Evs[I];
-    if (E.EventKind == TraceEvent::Kind::Line && !Out.empty()) {
-      TraceEvent &P = Out.back();
-      if (P.EventKind == TraceEvent::Kind::Line && P.Module == E.Module &&
-          P.File == E.File && P.Line == E.Line && P.Depth == E.Depth) {
-        uint64_t PrevProv = OutProv.back();
-        uint64_t CurProv = Prov[I];
-        bool NewRecord = (CurProv >> 32) != (PrevProv >> 32);
-        bool Backward = (CurProv & 0xFFFFFFFF) <= (PrevProv & 0xFFFFFFFF);
-        if (NewRecord || Backward)
-          ++P.Repeat; // Loop-style repetition.
-        // Either way the adjacent duplicate is merged; keep the newest
-        // flags so call/ret annotations survive.
-        P.BlockFlags |= E.BlockFlags;
-        P.Trimmed = E.Trimmed;
-        OutProv.back() = CurProv;
-        continue;
-      }
-    }
-    Out.push_back(std::move(E));
-    OutProv.push_back(Prov[I]);
+  Out.reserve(Events.size());
+  OutProv.reserve(Provenance.size());
+  for (size_t I = 0; I < Events.size(); ++I) {
+    if (!Out.empty() &&
+        mergeAdjacentLine(Out.back(), OutProv.back(), Events[I], Provenance[I]))
+      continue;
+    Out.push_back(Events[I]);
+    OutProv.push_back(Provenance[I]);
   }
-  Evs = std::move(Out);
-  Prov = std::move(OutProv);
+  Events = std::move(Out);
+  Provenance = std::move(OutProv);
 }
 
 std::vector<TraceEvent> ThreadBuilder::build(const ThreadSegment &Segment) {
-  Events.clear();
-  Provenance.clear();
-  Depth = 0;
-  PendingCall = false;
-  LastTs = 0;
-  RecordSerial = 0;
-  LastDag = LastDagInfo();
-
-  if (!Legacy) {
-    // Arena-style reservation: a DAG record expands to a handful of line
-    // events, so records*6 absorbs nearly every growth-doubling (an
-    // over-estimate only costs transient address space; the collapsed
-    // output vector is what the caller keeps).
-    Events.reserve(Segment.Records.size() * 6);
-    Provenance.reserve(Segment.Records.size() * 6);
-  }
-
+  // Resolve and decode every record before writing an event, so the array
+  // is allocated once at the size the records expand to and the trace
+  // keeps no growth slack.
+  if (!Legacy)
+    Events.reserve(plan(Segment));
+  const TraceEvent *Allocated = Events.data();
+  const PlannedRecord *Planned = Plan.data();
   for (const ParsedRecord &R : Segment.Records) {
     if (R.RecordKind == ParsedRecord::Kind::Dag)
-      emitDagRecord(R.DagWord);
+      emitDagRecord(R.DagWord, Legacy ? nullptr : Planned++);
     else
       emitExt(R.Ext);
   }
-  collapseRedundancy(Events, Provenance);
+  if (Legacy)
+    collapseLegacy();
+  else
+    collapsePending();
+  assert((Legacy || Events.data() == Allocated) &&
+         "the event array grew during emission");
+  (void)Allocated;
   return std::move(Events);
 }
 

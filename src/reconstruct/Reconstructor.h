@@ -37,6 +37,26 @@
 
 namespace traceback {
 
+/// A registered mapfile's names, interned once when the store registers
+/// it, so building a thread's events stores pointers and never takes the
+/// intern pool's lock.
+struct MapFileNames {
+  InternedString Module;
+  std::vector<InternedString> Files; ///< By mapfile file index.
+  /// Every block's function, the mapfile's DAGs one after another.
+  std::vector<InternedString> Functions;
+  /// By position in MapFile::Dags: where that DAG's block 0 sits in
+  /// Functions.
+  std::vector<uint32_t> FirstFunction;
+
+  /// The function names of \p Dag (a DAG of \p Map), by DAG-local block
+  /// index.
+  const InternedString *functionsOf(const MapFile &Map,
+                                    const MapDag &Dag) const {
+    return Functions.data() + FirstFunction[&Dag - Map.Dags.data()];
+  }
+};
+
 /// Holds the mapfiles reconstruction may need, keyed by module checksum
 /// (the matching rule of paper section 2.3).
 class MapFileStore {
@@ -61,6 +81,12 @@ public:
   size_t size() const { return Maps.size(); }
   const std::vector<MapFile> &all() const { return Maps; }
 
+  /// The interned names of \p Map, which must be one of this store's
+  /// mapfiles (as byChecksum / byKey return them).
+  const MapFileNames &names(const MapFile &Map) const {
+    return Names[static_cast<size_t>(&Map - Maps.data())];
+  }
+
   /// Estimated heap bytes held by the registered mapfiles. Also published
   /// to the process-global `store.bytes_resident` gauge (shared with
   /// SignatureStore) so tracer-health snapshots show how much memory the
@@ -72,6 +98,7 @@ public:
 
 private:
   std::vector<MapFile> Maps;
+  std::vector<MapFileNames> Names; ///< By slot in Maps.
   FlatMap64<size_t> Index; ///< Checksum low word -> slot in Maps.
   GaugeShare Resident{MetricsRegistry::global().gauge("store.bytes_resident")};
 };

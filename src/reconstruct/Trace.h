@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace traceback {
@@ -36,7 +37,10 @@ struct TraceEvent {
     Untraced,     ///< Execution passed through a bad-DAG or unknown module.
   };
 
-  Kind EventKind = Kind::Line;
+  // Fields are ordered widest first so an event packs into 88 bytes (see
+  // the static_assert below): a snap's events are built, collapsed,
+  // rendered and held by the hundred thousand, so padding is paid on
+  // every pass.
 
   // Line events. Names are interned (see support/StringPool.h): events
   // repeat the same few names millions of times, and a reconstructed
@@ -46,17 +50,13 @@ struct TraceEvent {
   InternedString Function;
   uint32_t Line = 0;
   uint32_t Repeat = 1;     ///< Consecutive executions collapsed.
-  uint8_t BlockFlags = 0;  ///< MapBlockFlags of the source block.
   uint32_t Depth = 0;      ///< Call nesting depth.
-  bool Trimmed = false;    ///< Last line before an exception cut the block.
 
   // Exception events.
-  uint16_t FaultCodeValue = 0;
-  uint64_t FaultModuleKey = 0;
   uint32_t FaultOffset = 0;
+  uint64_t FaultModuleKey = 0;
 
   // Sync events.
-  SyncKind Sync = SyncKind::CallSend;
   uint64_t LogicalThreadId = 0;
   uint64_t Sequence = 0;
   uint64_t PeerRuntimeId = 0;
@@ -64,7 +64,17 @@ struct TraceEvent {
   /// Most recent clock reading at or before this event (that runtime's
   /// clock; 0 when no timestamp has been seen yet).
   uint64_t Timestamp = 0;
+
+  uint16_t FaultCodeValue = 0; ///< Exception events.
+  SyncKind Sync = SyncKind::CallSend;
+  Kind EventKind = Kind::Line;
+  uint8_t BlockFlags = 0;  ///< MapBlockFlags of the source block.
+  bool Trimmed = false;    ///< Last line before an exception cut the block.
 };
+
+static_assert(sizeof(TraceEvent) == 88 &&
+                  std::is_trivially_copyable_v<TraceEvent>,
+              "TraceEvent is packed and memcpy-able; keep it so");
 
 /// The history of one physical thread, oldest to newest.
 struct ThreadTrace {

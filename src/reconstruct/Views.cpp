@@ -10,6 +10,12 @@
 #include "support/Text.h"
 #include "vm/Fault.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <limits>
+#include <string_view>
+
 using namespace traceback;
 
 namespace {
@@ -36,8 +42,7 @@ const char *syncKindName(SyncKind K) {
   return "?";
 }
 
-/// Appends the one-line rendering of \p E (no indent, no newline). Every
-/// view writes its events through here, straight into its own buffer.
+/// Appends the one-line rendering of \p E (no indent, no newline).
 void appendEvent(std::string &Out, const TraceEvent &E) {
   switch (E.EventKind) {
   case TraceEvent::Kind::Line:
@@ -88,9 +93,76 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
   Out += '?';
 }
 
-/// One event as a line of the flat and logical-thread views.
-void appendFlatLine(std::string &Out, const TraceEvent &E) {
-  Out += "  ";
+/// The longest line appendEventLine builds on the stack. Longer ones —
+/// names of hundreds of bytes, call depths in the hundreds — take the
+/// per-field appends instead.
+constexpr size_t LineBufferBytes = 512;
+
+/// What the flat and call-tree views reserve per event before writing:
+/// every line carries the 14-column module field, so with short file and
+/// function names most lines are 40-60 bytes. Longer lines cost one more
+/// growth of the buffer, not a wrong result.
+constexpr size_t TypicalLineBytes = 48;
+
+/// Appends one event as a whole line: \p Lead spaces, \p Marker, the
+/// event (as appendEvent writes it) and a newline. Every view's events
+/// come through here. A Line event is written into a stack buffer and
+/// lands in \p Out with one append, one capacity check.
+void appendEventLine(std::string &Out, const TraceEvent &E, size_t Lead,
+                     std::string_view Marker = {}) {
+  if (E.EventKind == TraceEvent::Kind::Line) {
+    const char *Module = E.Module.c_str();
+    const char *File = E.File.c_str();
+    const char *Function = E.Function.c_str();
+    // "%s" stops at a NUL, so lengths are strlen's, not the strings'.
+    size_t ModuleLen = std::strlen(Module);
+    size_t FileLen = std::strlen(File);
+    size_t FunctionLen = std::strlen(Function);
+    size_t MarkerLen = Marker.size();
+    constexpr size_t ModuleWidth = 14;
+    // Separators, both suffixes and the newline, plus the line number and
+    // the repeat count at their widest.
+    constexpr size_t MaxFixed =
+        sizeof(" " ":" "  " "  (x" ")" "  <- partial" "\n") - 1 +
+        2 * (std::numeric_limits<uint32_t>::digits10 + 1);
+    if (Lead + MarkerLen + std::max(ModuleLen, ModuleWidth) + FileLen +
+            FunctionLen + MaxFixed <=
+        LineBufferBytes) {
+      char Buf[LineBufferBytes];
+      char *P = Buf;
+      auto Put = [&P](const char *S, size_t N) {
+        std::memcpy(P, S, N);
+        P += N;
+      };
+      std::memset(P, ' ', Lead);
+      P += Lead;
+      if (MarkerLen) // An empty view may hold a null pointer.
+        Put(Marker.data(), MarkerLen);
+      Put(Module, ModuleLen);
+      if (ModuleLen < ModuleWidth) {
+        std::memset(P, ' ', ModuleWidth - ModuleLen);
+        P += ModuleWidth - ModuleLen;
+      }
+      *P++ = ' ';
+      Put(File, FileLen);
+      *P++ = ':';
+      P = std::to_chars(P, Buf + LineBufferBytes, E.Line).ptr;
+      Put("  ", 2);
+      Put(Function, FunctionLen);
+      if (E.Repeat > 1) {
+        Put("  (x", 4);
+        P = std::to_chars(P, Buf + LineBufferBytes, E.Repeat).ptr;
+        *P++ = ')';
+      }
+      if (E.Trimmed)
+        Put("  <- partial", 12);
+      *P++ = '\n';
+      Out.append(Buf, static_cast<size_t>(P - Buf));
+      return;
+    }
+  }
+  Out.append(Lead, ' ');
+  Out.append(Marker);
   appendEvent(Out, E);
   Out += '\n';
 }
@@ -98,17 +170,16 @@ void appendFlatLine(std::string &Out, const TraceEvent &E) {
 void appendCallTree(std::string &Out, const ThreadTrace &Trace) {
   Out += formatv("thread %llu call tree\n",
                  static_cast<unsigned long long>(Trace.ThreadId));
+  Out.reserve(Out.size() + Trace.Events.size() * TypicalLineBytes);
   for (const TraceEvent &E : Trace.Events) {
-    Out += "  ";
-    Out.append(static_cast<size_t>(E.Depth) * 2, ' ');
+    std::string_view Marker;
     if (E.EventKind == TraceEvent::Kind::Line) {
       if (E.BlockFlags & MBF_FuncEntry)
-        Out += "+ ";
+        Marker = "+ ";
       else if (E.BlockFlags & MBF_EndsInRet)
-        Out += "^ ";
+        Marker = "^ ";
     }
-    appendEvent(Out, E);
-    Out += '\n';
+    appendEventLine(Out, E, 2 + static_cast<size_t>(E.Depth) * 2, Marker);
   }
 }
 } // namespace
@@ -120,8 +191,9 @@ std::string traceback::renderFlatTrace(const ThreadTrace &Trace) {
                             Trace.ProcessName.c_str(),
                             Trace.Truncated ? " (older history overwritten)"
                                             : "");
+  Out.reserve(Out.size() + Trace.Events.size() * TypicalLineBytes);
   for (const TraceEvent &E : Trace.Events)
-    appendFlatLine(Out, E);
+    appendEventLine(Out, E, 2);
   if (Trace.TruncatedAt != UINT64_MAX)
     Out += formatv("  <torn write: newer history lost at word %llu>\n",
                    static_cast<unsigned long long>(Trace.TruncatedAt));
@@ -152,8 +224,7 @@ std::string traceback::renderMultiThread(
     if (Out.size() < Start + 4)
       Out.append(Start + 4 - Out.size(), ' ');
     Out += " |";
-    appendEvent(Out, Entry.Trace->Events[Entry.EventIndex]);
-    Out += '\n';
+    appendEventLine(Out, Entry.Trace->Events[Entry.EventIndex], 0);
   }
   return Out;
 }
@@ -169,7 +240,7 @@ std::string traceback::renderLogicalThread(const LogicalThread &LT) {
                    static_cast<unsigned long long>(Seg.Trace->ThreadId));
     for (size_t I = Seg.Begin; I < Seg.End && I < Seg.Trace->Events.size();
          ++I)
-      appendFlatLine(Out, Seg.Trace->Events[I]);
+      appendEventLine(Out, Seg.Trace->Events[I], 2);
   }
   return Out;
 }
@@ -193,10 +264,9 @@ std::string traceback::renderFaultView(const SnapFile &Snap,
       appendDecimal(Out, T.ThreadId);
       Out += ": ";
       if (LastLine)
-        appendEvent(Out, *LastLine);
+        appendEventLine(Out, *LastLine, 0);
       else
-        Out += "<no trace>";
-      Out += '\n';
+        Out += "<no trace>\n";
     }
     return Out;
   }

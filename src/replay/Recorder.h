@@ -66,8 +66,7 @@ public:
   void attach(Deployment &D);
 
   /// The log as of now: genesis plus the retained entry window, with a
-  /// valid END section — the bytes embedded into snaps / written to
-  /// .tblog sidecars.
+  /// valid END section — the bytes embedded into snaps.
   std::vector<uint8_t> serialized() const;
 
   /// serialized(), decoded.

@@ -11,10 +11,7 @@
 
 using namespace traceback;
 
-const std::string &traceback::emptyPooledString() {
-  static const std::string Empty;
-  return Empty;
-}
+constinit const std::string traceback::detail::EmptyPooled;
 
 const std::string &traceback::internString(const std::string &S) {
   if (S.empty())

@@ -32,9 +32,15 @@ namespace traceback {
 /// returned reference is valid for the rest of the process. Thread-safe.
 const std::string &internString(const std::string &S);
 
-/// The shared empty string (not pool-allocated: default-constructed
-/// handles must not take the pool lock).
-const std::string &emptyPooledString();
+namespace detail {
+/// The shared empty string. It is not pool-allocated and is initialized
+/// at compile time, so a default-constructed handle is an address
+/// constant: no call, no lock.
+extern const std::string EmptyPooled;
+} // namespace detail
+
+/// The shared empty string.
+inline const std::string &emptyPooledString() { return detail::EmptyPooled; }
 
 /// A pointer into the intern pool that converts to const std::string&,
 /// so existing code that compares, concatenates or formats the name

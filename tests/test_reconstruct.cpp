@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReconstructHelpers.h"
 #include "reconstruct/RecordRecovery.h"
 #include "reconstruct/Reconstructor.h"
 #include "reconstruct/Views.h"
@@ -12,48 +13,7 @@
 #include <gtest/gtest.h>
 
 using namespace traceback;
-
-namespace {
-/// Builds a raw buffer image from a word list with sub-buffer sentinels.
-SnapBufferImage makeBuffer(const std::vector<uint32_t> &DataWords,
-                           uint32_t SubWords, uint32_t SubCount,
-                           uint32_t Committed, uint64_t Owner) {
-  SnapBufferImage B;
-  B.SubBufferWords = SubWords;
-  B.SubBufferCount = SubCount;
-  B.CommittedSubBuffer = Committed;
-  B.OwnerThread = Owner;
-  B.RecordsBase = 0x1000;
-  std::vector<uint32_t> Words(static_cast<size_t>(SubWords) * SubCount, 0);
-  for (uint32_t S = 0; S < SubCount; ++S)
-    Words[(S + 1ull) * SubWords - 1] = SentinelRecord;
-  // Fill data skipping sentinel slots.
-  size_t Pos = 0;
-  for (uint32_t W : DataWords) {
-    while (Pos < Words.size() && Words[Pos] == SentinelRecord)
-      ++Pos;
-    if (Pos >= Words.size())
-      break;
-    Words[Pos++] = W;
-  }
-  B.Raw.resize(Words.size() * 4);
-  for (size_t I = 0; I < Words.size(); ++I)
-    for (int J = 0; J < 4; ++J)
-      B.Raw[I * 4 + J] = static_cast<uint8_t>(Words[I] >> (J * 8));
-  return B;
-}
-
-std::vector<uint32_t> threadStart(uint64_t Tid, uint64_t Ts = 5) {
-  return encodeExtRecord({ExtType::ThreadStart, 0, {Tid, Ts}});
-}
-std::vector<uint32_t> threadEnd(uint64_t Tid, uint64_t Ts = 9) {
-  return encodeExtRecord({ExtType::ThreadEnd, 0, {Tid, Ts}});
-}
-
-void append(std::vector<uint32_t> &Out, const std::vector<uint32_t> &In) {
-  Out.insert(Out.end(), In.begin(), In.end());
-}
-} // namespace
+using namespace traceback::testing_helpers;
 
 TEST(LinearizeTest, RingOrderAndSentinelStripping) {
   std::vector<uint32_t> Words = {1, 2, 3, SentinelRecord, 5, 6};
@@ -258,6 +218,28 @@ TEST(ReconstructorTest, ExceptionTrimsWithinBlock) {
       Lines.push_back(E.Line);
   EXPECT_EQ(Lines, (std::vector<uint32_t>{1}))
       << "line 2 starts after the fault offset and must be trimmed";
+}
+
+TEST(ReconstructorTest, EventArrayIsSizedOnce) {
+  // The pipeline sizes each thread's event array from its decoded paths
+  // before writing: with nothing to collapse or trim, the trace holds
+  // exactly its events, with no growth slack.
+  MD5Digest Sum = MD5::hash("synth", 5);
+  MapFileStore Store;
+  Store.add(syntheticMap(Sum));
+  std::vector<uint32_t> Words;
+  append(Words, threadStart(1));
+  Words.push_back(makeDagRecord(100) | 0b101); // Lines 1, 2, 3, 5.
+  Words.push_back(makeDagRecord(100) | 0b110); // Lines 1, 2, 4, 5.
+  append(Words, encodeExtRecord({ExtType::Timestamp, 0, {40}}));
+  Words.push_back(makeDagRecord(100));         // Lines 1, 2.
+  SnapFile Snap = syntheticSnap(Words, Sum);
+  Reconstructor R(Store);
+  ReconstructedTrace T = R.reconstruct(Snap);
+  ASSERT_EQ(T.Threads.size(), 1u);
+  const std::vector<TraceEvent> &Events = T.Threads[0].Events;
+  EXPECT_EQ(Events.size(), 11u) << "thread start plus ten lines";
+  EXPECT_EQ(Events.capacity(), Events.size());
 }
 
 TEST(ReconstructorTest, UnknownModuleWarns) {

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReconstructHelpers.h"
 #include "reconstruct/Reconstructor.h"
 #include "reconstruct/SynthWorkload.h"
 #include "reconstruct/Views.h"
@@ -24,6 +25,7 @@
 #include <numeric>
 
 using namespace traceback;
+using namespace traceback::testing_helpers;
 
 namespace {
 
@@ -130,6 +132,197 @@ TEST(ReconstructParallelProperty, SharedReconstructorAcrossSnaps) {
                                             Shared.reconstruct(Snaps[I].Snap)))
         << "snap " << I;
   EXPECT_GT(Shared.pathCache().hits() + Shared.pathCache().misses(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Exception trimming: SynthWorkload emits no Exception records, so this
+// sweep hand-builds rings around them.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Each DAG of a trim-sweep module occupies this many code bytes; offsets
+/// below the first DAG's range and past the last one's fall outside every
+/// block.
+constexpr uint32_t TrimDagSpan = 1000;
+
+/// A module whose DAGs are diamonds — a root, then- and else-arms on path
+/// bits 0 and 1, a join on bit 2 — with one to three lines per block drawn
+/// from four line numbers of one file, so adjacent lines repeat within
+/// and across records, and random call/entry/return flags.
+MapFile trimSweepMap(Rng &R, const std::string &Name, uint32_t DagIdBase,
+                     uint32_t Dags) {
+  MapFile Map;
+  Map.ModuleName = Name;
+  Map.Checksum = MD5::hash(Name.data(), Name.size());
+  Map.DagIdBase = DagIdBase;
+  Map.DagIdCount = Dags;
+  Map.Files = {Name + ".c"};
+  const uint8_t FlagChoices[] = {0, MBF_FuncEntry, MBF_EndsInCall,
+                                 MBF_EndsInRet};
+  for (uint32_t D = 0; D < Dags; ++D) {
+    MapDag Dag;
+    Dag.RelId = D;
+    uint32_t Offset = (D + 1) * TrimDagSpan;
+    for (int BI = 0; BI < 4; ++BI) {
+      MapBlock B;
+      B.BitIndex = static_cast<int8_t>(BI - 1);
+      B.Flags = FlagChoices[R.below(4)];
+      B.Function = BI < 2 ? "f" : "g";
+      B.StartOffset = Offset;
+      unsigned Lines = 1 + static_cast<unsigned>(R.below(3));
+      for (unsigned L = 0; L < Lines; ++L) {
+        B.Lines.push_back({0, 1 + static_cast<uint32_t>(R.below(4)), Offset});
+        Offset += 4 + static_cast<uint32_t>(R.below(8));
+      }
+      B.EndOffset = Offset;
+      Dag.Blocks.push_back(B);
+    }
+    Dag.Blocks[0].Succs = {1, 2};
+    Dag.Blocks[1].Succs = {3};
+    Dag.Blocks[2].Succs = {3};
+    Map.Dags.push_back(Dag);
+  }
+  return Map;
+}
+
+struct TrimSweepCase {
+  std::vector<MapFile> Maps;
+  SnapFile Snap;
+};
+
+/// One to three threads of DAG records (mostly valid paths, some that do
+/// not decode) interleaved with Exception records faulting before, inside
+/// or past the latest DAG record's blocks — in its module or another —
+/// plus ExceptionEnd, Sync and Timestamp records.
+TrimSweepCase makeTrimSweepCase(uint64_t Seed) {
+  Rng R(Seed);
+  TrimSweepCase C;
+  const uint32_t Dags = 3;
+  C.Maps.push_back(trimSweepMap(R, "trima", 10, Dags));
+  C.Maps.push_back(trimSweepMap(R, "trimb", 10 + Dags, Dags));
+  for (const MapFile &M : C.Maps) {
+    SnapModuleInfo MI;
+    MI.Name = M.ModuleName;
+    MI.Checksum = M.Checksum;
+    MI.DagIdBase = M.DagIdBase;
+    MI.DagIdCount = M.DagIdCount;
+    MI.Instrumented = true;
+    C.Snap.Modules.push_back(MI);
+  }
+  C.Snap.ProcessName = "p";
+  C.Snap.MachineName = "m";
+  C.Snap.RuntimeId = 9;
+  C.Snap.Reason = SnapReason::Unhandled;
+  C.Snap.FaultThread = 1;
+
+  const uint32_t ValidBits[] = {0b000, 0b101, 0b110};
+  uint64_t Threads = 1 + R.below(3);
+  for (uint64_t Tid = 1; Tid <= Threads; ++Tid) {
+    std::vector<uint32_t> Words;
+    append(Words, threadStart(Tid));
+    const MapFile *LastMap = nullptr;
+    const MapDag *LastDag = nullptr;
+    uint64_t Ts = 10;
+    uint64_t Records = 20 + R.below(100);
+    for (uint64_t I = 0; I < Records; ++I) {
+      uint64_t Kind = R.below(10);
+      if (Kind < 5 || !LastDag) {
+        LastMap = &C.Maps[R.below(C.Maps.size())];
+        uint32_t RelId = static_cast<uint32_t>(R.below(Dags));
+        LastDag = &LastMap->Dags[RelId];
+        uint32_t Bits = R.chance(1, 12) ? 0b011 : ValidBits[R.below(3)];
+        Words.push_back(makeDagRecord(LastMap->DagIdBase + RelId) | Bits);
+      } else if (Kind < 8) {
+        uint32_t Off;
+        switch (R.below(3)) {
+        case 0: // Before every block.
+          Off = static_cast<uint32_t>(R.below(TrimDagSpan));
+          break;
+        case 1: { // Inside one of the latest record's DAG's blocks.
+          const MapBlock &B = LastDag->Blocks[R.below(4)];
+          Off = B.StartOffset +
+                static_cast<uint32_t>(R.below(B.EndOffset - B.StartOffset));
+          break;
+        }
+        default: // Past every block.
+          Off = (Dags + 1) * TrimDagSpan +
+                static_cast<uint32_t>(R.below(TrimDagSpan));
+          break;
+        }
+        uint64_t Key = R.chance(1, 5) ? C.Maps[R.below(2)].Checksum.low64()
+                                      : LastMap->Checksum.low64();
+        append(Words,
+               encodeExtRecord({ExtType::Exception,
+                                static_cast<uint16_t>(1 + R.below(5)),
+                                {Key, Off, ++Ts}}));
+      } else if (Kind == 8) {
+        append(Words, encodeExtRecord({ExtType::ExceptionEnd,
+                                       static_cast<uint16_t>(1 + R.below(5)),
+                                       {++Ts}}));
+      } else if (R.chance(1, 2)) {
+        append(Words, encodeExtRecord({ExtType::Sync,
+                                       static_cast<uint16_t>(R.below(4)),
+                                       {Tid, I, 9, ++Ts}}));
+      } else {
+        append(Words, encodeExtRecord({ExtType::Timestamp, 0, {++Ts}}));
+      }
+    }
+    // All words stay in the first sub-buffer, so the cursor is their end.
+    C.Snap.Buffers.push_back(makeBuffer(Words, 2048, 2, UINT32_MAX, Tid));
+    SnapThreadInfo TI;
+    TI.ThreadId = Tid;
+    TI.Cursor = RingRecordsBase + (Words.size() - 1) * 4;
+    C.Snap.Threads.push_back(TI);
+  }
+  return C;
+}
+
+} // namespace
+
+TEST(ReconstructParallelProperty, ExceptionTrimSweepIsByteIdentical) {
+  uint64_t Base = seedFromEnv("TRACEBACK_TEST_SEED", 0xB00573D) ^ 0x7219;
+  ThreadPool Pool(4);
+  ReconstructOptions Legacy;
+  Legacy.Cache.LegacyUncached = true;
+  ReconstructOptions Cached;
+  ReconstructOptions Uncached;
+  Uncached.Cache.Enabled = false;
+  size_t Trimmed = 0, Repeated = 0;
+  for (uint64_t I = 0; I < 200; ++I) {
+    uint64_t Seed = Base + I;
+    TrimSweepCase C = makeTrimSweepCase(Seed);
+    MapFileStore Store;
+    for (MapFile &M : C.Maps)
+      ASSERT_TRUE(Store.add(std::move(M)));
+
+    ReconstructedTrace Ref = Reconstructor(Store, Legacy).reconstruct(C.Snap);
+    for (const ThreadTrace &T : Ref.Threads)
+      for (const TraceEvent &E : T.Events) {
+        Trimmed += E.Trimmed;
+        Repeated += E.Repeat > 1;
+      }
+    std::string Reference = renderEverything(C.Snap, Ref);
+    struct Variant {
+      const char *Name;
+      const ReconstructOptions *Opts;
+      ThreadPool *Pool;
+    } Variants[] = {
+        {"cache,jobs=1", &Cached, nullptr},
+        {"nocache,jobs=1", &Uncached, nullptr},
+        {"cache,jobs=4", &Cached, &Pool},
+        {"nocache,jobs=4", &Uncached, &Pool},
+    };
+    for (const Variant &V : Variants) {
+      Reconstructor R(Store, *V.Opts);
+      ReconstructedTrace T = R.reconstruct(C.Snap, V.Pool);
+      ASSERT_EQ(Reference, renderEverything(C.Snap, T))
+          << "variant " << V.Name << " diverged on seed " << Seed;
+    }
+  }
+  // The sweep is only worth its name if it trims and repeats.
+  EXPECT_GT(Trimmed, 100u);
+  EXPECT_GT(Repeated, 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@
 #include "distributed/SnapArchive.h"
 #include "distributed/Wire.h"
 #include "reconstruct/SynthWorkload.h"
-#include "replay/Recorder.h"
 #include "runtime/TraceRecord.h"
 #include "support/ByteStream.h"
 #include "support/MD5.h"
@@ -870,7 +869,7 @@ TEST(SnapArchiveTest, SourceYieldsIntactEntriesOfATornArchive) {
 }
 
 // ----------------------------------------------------------------------------
-// Daemon delivery: group fan-out, the zero-copy hand-off, log sidecars.
+// Daemon delivery: group fan-out and the zero-copy hand-off.
 // ----------------------------------------------------------------------------
 
 namespace {
@@ -958,40 +957,6 @@ TEST(DaemonIngestTest, DeliversFaultThenGroupPeers) {
   EXPECT_EQ(Rig.D.snaps()[1].Pid, Rig.Peer->Pid);
   EXPECT_EQ(Rig.D.snaps()[1].Reason, SnapReason::GroupPeer);
   EXPECT_EQ(Rig.counter("daemon.snaps_received"), 2u);
-}
-
-TEST(DaemonIngestTest, LogDirWritesOneSidecarPerRecordedSnap) {
-  // `tbtool serve --record`'s sidecar writer: every delivered snap that
-  // embeds an execution log gets exactly one .tblog holding those bytes,
-  // and a daemon with no log directory writes none.
-  namespace fs = std::filesystem;
-  const fs::path Dir = "test_snapio_sidecars";
-  for (bool WithDir : {true, false}) {
-    SCOPED_TRACE(WithDir ? "log dir set" : "no log dir");
-    fs::remove_all(Dir);
-    fs::create_directory(Dir);
-    GroupRig Rig;
-    Rig.D.Policy.RecordExecution = true;
-    ExecutionRecorder Rec;
-    Rec.attach(Rig.D);
-    if (WithDir)
-      Rig.D.daemonFor(*Rig.M)->setLogDir(Dir.string());
-    Rig.run();
-    ASSERT_EQ(Rig.D.snaps().size(), 2u);
-    for (const SnapFile &S : Rig.D.snaps()) {
-      ASSERT_FALSE(S.ExecLog.empty());
-      if (!WithDir)
-        continue;
-      std::vector<uint8_t> Log;
-      ASSERT_TRUE(readFileBytes((Dir / execLogSidecarName(S)).string(), Log));
-      EXPECT_EQ(Log, S.ExecLog);
-    }
-    size_t Files = static_cast<size_t>(std::distance(
-        fs::directory_iterator(Dir), fs::directory_iterator()));
-    EXPECT_EQ(Files, WithDir ? Rig.D.snaps().size() : 0u);
-    EXPECT_EQ(Rig.counter("daemon.ingest.log_sidecars"), Files);
-  }
-  fs::remove_all(Dir);
 }
 
 namespace {

@@ -333,7 +333,20 @@ uint16_t randomFaultCode(Rng &R) {
   }
 }
 
-TraceEvent randomEvent(Rng &R, const std::vector<InternedString> &Names) {
+/// sweepNames() plus names longer than any line the views build on the
+/// stack: one over 1 KiB and one that fits or not depending on the depth.
+std::vector<InternedString> longSweepNames() {
+  std::vector<InternedString> Names = sweepNames();
+  std::string Long;
+  while (Long.size() < 1100)
+    Long += "very_long_name_";
+  Names.push_back(InternedString(Long));
+  Names.push_back(InternedString(Long.substr(0, 430)));
+  return Names;
+}
+
+TraceEvent randomEvent(Rng &R, const std::vector<InternedString> &Names,
+                       uint64_t DepthBound) {
   auto Name = [&] { return Names[R.below(Names.size())]; };
   TraceEvent E;
   E.EventKind = static_cast<TraceEvent::Kind>(R.below(7));
@@ -343,7 +356,7 @@ TraceEvent randomEvent(Rng &R, const std::vector<InternedString> &Names) {
   E.Line = static_cast<uint32_t>(R.chance(1, 8) ? R.next() : R.below(2000));
   E.Repeat = static_cast<uint32_t>(R.chance(1, 4) ? R.next() : R.below(3));
   E.BlockFlags = static_cast<uint8_t>(R.below(256));
-  E.Depth = static_cast<uint32_t>(R.below(41));
+  E.Depth = static_cast<uint32_t>(R.below(DepthBound));
   E.Trimmed = R.chance(1, 4);
   E.FaultCodeValue = randomFaultCode(R);
   E.FaultModuleKey = R.next();
@@ -356,7 +369,8 @@ TraceEvent randomEvent(Rng &R, const std::vector<InternedString> &Names) {
   return E;
 }
 
-ThreadTrace randomTrace(Rng &R, const std::vector<InternedString> &Names) {
+ThreadTrace randomTrace(Rng &R, const std::vector<InternedString> &Names,
+                        uint64_t DepthBound) {
   ThreadTrace T;
   T.ThreadId = R.chance(1, 4) ? R.next() : R.below(1200);
   T.RuntimeId = R.below(3);
@@ -366,7 +380,7 @@ ThreadTrace randomTrace(Rng &R, const std::vector<InternedString> &Names) {
   T.TruncatedAt = R.chance(1, 3) ? R.below(UINT64_MAX) : UINT64_MAX;
   size_t N = R.below(40);
   for (size_t I = 0; I < N; ++I)
-    T.Events.push_back(randomEvent(R, Names));
+    T.Events.push_back(randomEvent(R, Names, DepthBound));
   return T;
 }
 } // namespace
@@ -374,19 +388,26 @@ ThreadTrace randomTrace(Rng &R, const std::vector<InternedString> &Names) {
 TEST(ViewsOracleTest, EveryViewMatchesTheFormatvRenderer) {
   Rng R(testSeed() ^ 0x76696577ULL);
   const std::vector<InternedString> Names = sweepNames();
+  const std::vector<InternedString> LongNames = longSweepNames();
   const SnapReason Reasons[] = {SnapReason::Hang, SnapReason::External,
                                 SnapReason::Unhandled};
-  for (unsigned Case = 0; Case < 600; ++Case) {
+  // The first 600 cases keep names short and depths at 0-40; the last 200
+  // add names over 1 KiB and depths in the hundreds, which overflow the
+  // views' stack line buffer and take their fallback appends.
+  for (unsigned Case = 0; Case < 800; ++Case) {
     SCOPED_TRACE(Case);
+    const bool Long = Case >= 600;
+    const std::vector<InternedString> &CaseNames = Long ? LongNames : Names;
+    const uint64_t DepthBound = Long ? 600 : 41;
     ReconstructedTrace Trace;
     size_t Threads = Case % 4; // Zero threads included.
     for (size_t I = 0; I < Threads; ++I)
-      Trace.Threads.push_back(randomTrace(R, Names));
+      Trace.Threads.push_back(randomTrace(R, CaseNames, DepthBound));
 
     SnapFile Snap;
     Snap.Reason = Reasons[Case % 3];
     Snap.ReasonDetail = static_cast<uint16_t>(R.next());
-    Snap.MachineName = Names[R.below(Names.size())].str();
+    Snap.MachineName = CaseNames[R.below(CaseNames.size())].str();
     Snap.ProcessName = "p";
     Snap.FaultCodeValue = randomFaultCode(R);
     // Every fifth case names a faulting thread the trace does not have.

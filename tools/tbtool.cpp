@@ -1219,8 +1219,7 @@ int cmdServe(ArgList A) {
     MetricsRegistry RoundMetrics;
     D.Metrics = &RoundMetrics;
     // One recorder per round: every snap pushed to the store embeds the
-    // round's execution log, and each daemon archives a .tblog sidecar
-    // into the store directory for `tbtool replay --store`.
+    // round's execution log, which `tbtool replay --store` reads.
     std::unique_ptr<ExecutionRecorder> Recorder;
     if (Record) {
       D.Policy.RecordExecution = true;
@@ -1256,11 +1255,6 @@ int cmdServe(ArgList A) {
       Service.detachTransport();
       return 1;
     }
-    if (Record)
-      for (const auto &M : D.world().Machines)
-        if (ServiceDaemon *Dm = D.daemonFor(*M))
-          Dm->setLogDir(StoreDir);
-
     D.world().run();
     bool Quiet = D.pumpNetwork();
     Service.drain();
@@ -1328,8 +1322,8 @@ int cmdServe(ArgList A) {
 }
 
 /// `tbtool replay`: snap-anchored record-and-replay. Loads a snap (file
-/// or store-resident by id), finds its execution log (--log, the snap's
-/// embedded log, or the .tblog sidecar next to it), rebuilds the recorded
+/// or store-resident by id), takes its execution log (--log, else the
+/// snap's embedded log), rebuilds the recorded
 /// world and re-executes it under the replay enforcer, then self-checks:
 /// the replayed anchor snap must exist and its reconstructed trace must
 /// be byte-identical to the original's. --verify turns a failed check
@@ -1346,7 +1340,6 @@ int cmdReplay(ArgList A) {
   const std::vector<std::string> &Pos = A.positional();
 
   SnapFile Snap;
-  std::string SnapDirPath = "."; // Where a sidecar would sit.
   if (!StoreDir.empty()) {
     if (Id <= 0 || !Pos.empty())
       return usage();
@@ -1370,7 +1363,6 @@ int cmdReplay(ArgList A) {
                    static_cast<long long>(Id));
       return 1;
     }
-    SnapDirPath = StoreDir;
   } else {
     if (Pos.size() != 1)
       return usage();
@@ -1378,9 +1370,6 @@ int cmdReplay(ArgList A) {
       std::fprintf(stderr, "cannot load %s\n", Pos[0].c_str());
       return 1;
     }
-    std::filesystem::path P(Pos[0]);
-    if (P.has_parent_path())
-      SnapDirPath = P.parent_path().string();
   }
 
   std::vector<uint8_t> LogBytes;
@@ -1392,15 +1381,11 @@ int cmdReplay(ArgList A) {
   } else if (!Snap.ExecLog.empty()) {
     LogBytes = Snap.ExecLog;
   } else {
-    std::string Side = SnapDirPath + "/" + execLogSidecarName(Snap);
-    if (!readFileBytes(Side, LogBytes)) {
-      std::fprintf(stderr,
-                   "snap has no embedded execution log and no sidecar at "
-                   "%s\n(record one with `tbtool inject --record` or "
-                   "`tbtool serve --record`)\n",
-                   Side.c_str());
-      return 1;
-    }
+    std::fprintf(stderr,
+                 "snap has no embedded execution log; pass one with --log "
+                 "FILE\n(record one with `tbtool inject --record` or "
+                 "`tbtool serve --record`)\n");
+    return 1;
   }
 
   ExecutionLog Log;
@@ -1723,8 +1708,8 @@ CommandRegistry &registry() {
               {"--rounds", "N", "deployment rounds (default 2)"},
               {"--seed", "S", "chaos seed"},
               {"--chaos", "", "inject seeded network faults"},
-              {"--record", "", "record each round; snaps embed logs and "
-               ".tblog sidecars land in the store dir"},
+              {"--record", "", "record each round; snaps embed a "
+               "replayable .tblog"},
               {"--shards", "N", "store payload shards (default 4)"},
               {"--max-bytes", "B", "retention: live payload byte cap"},
               {"--max-age", "T", "retention: age cap in timestamp units"},
@@ -1734,8 +1719,8 @@ CommandRegistry &registry() {
     Reg.add({"replay", "<snap.tbsnap>",
              "Re-execute a recorded run from its execution log and "
              "self-check the replayed trace against the snap's.",
-             {{"--log", "FILE", "explicit .tblog (default: embedded log, "
-               "then sidecar)"},
+             {{"--log", "FILE", "explicit .tblog (default: the snap's "
+               "embedded log)"},
               {"--store", "DIR", "replay a store-resident snap (with "
                "--id)"},
               {"--id", "N", "store entry id"},
