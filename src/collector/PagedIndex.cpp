@@ -9,7 +9,6 @@
 #include "distributed/SnapArchive.h"
 #include "support/ByteStream.h"
 #include "support/Hash.h"
-#include "triage/Signature.h"
 
 #include <algorithm>
 #include <bit>
@@ -392,18 +391,9 @@ bool traceback::writePagedIndex(
       encodeStoreEntry(E, Rec);
       Dir.push_back({E.Id, W.offset() - H.Regions[RegEntryBlob][0],
                      static_cast<uint32_t>(Rec.size())});
-      for (size_t I = 0; I < E.ModuleKeys.size(); ++I) {
-        Post[0][E.ModuleKeys[I]].push_back(E.Id);
-        uint64_t NameKey = signatureHash(E.ModuleNames[I]);
-        if (NameKey != E.ModuleKeys[I])
-          Post[0][NameKey].push_back(E.Id);
-      }
-      Post[1][signatureHash(E.Kind)].push_back(E.Id);
-      Post[2][E.Fingerprint].push_back(E.Id);
-      Post[3][E.MachineId].push_back(E.Id);
-      uint64_t MachKey = signatureHash(E.MachineName);
-      if (MachKey != E.MachineId)
-        Post[3][MachKey].push_back(E.Id);
+      forEachPostingKey(E, [&](TbixDim D, uint64_t Key) {
+        Post[static_cast<unsigned>(D)][Key].push_back(E.Id);
+      });
       Time.push_back({E.Timestamp, E.Id});
       if (!E.Dead)
         Dedup.push_back({E.Fingerprint, E.PayloadHash, E.Id});

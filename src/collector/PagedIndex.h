@@ -62,6 +62,7 @@
 
 #include "collector/SnapStore.h"
 #include "support/Metrics.h"
+#include "triage/Signature.h"
 
 #include <cstdint>
 #include <functional>
@@ -114,12 +115,32 @@ bool writeIndexJournal(const std::string &Path,
 /// The checkpoint's fixed page size.
 constexpr size_t TbixPageSize = 4096;
 
-/// Posting dimensions a checkpoint indexes (matches SnapStore's posting
-/// maps; Kind keys are signatureHash(kind) — the residual predicate
-/// re-checks the exact string, so a hash collision only widens the
-/// candidate list, never the result).
+/// Posting dimensions a checkpoint indexes, and the indexes of the
+/// store's in-memory posting maps. Kind keys are signatureHash(kind) —
+/// the residual predicate re-checks the exact string, so a hash collision
+/// only widens the candidate list, never the result.
 enum class TbixDim : unsigned { Module = 0, Kind = 1, Fingerprint = 2,
                                 Machine = 3 };
+
+/// Calls \p Fn(dimension, key) for each posting \p E is listed under:
+/// each module's checksum key and name hash, the kind hash, the
+/// fingerprint, and the machine id and name hash. The checkpoint's key
+/// tables and the store's in-memory postings both derive from it.
+template <typename FnT>
+void forEachPostingKey(const SnapStoreEntry &E, FnT &&Fn) {
+  for (size_t I = 0; I < E.ModuleKeys.size(); ++I) {
+    Fn(TbixDim::Module, E.ModuleKeys[I]);
+    uint64_t NameKey = signatureHash(E.ModuleNames[I]);
+    if (NameKey != E.ModuleKeys[I])
+      Fn(TbixDim::Module, NameKey);
+  }
+  Fn(TbixDim::Kind, signatureHash(E.Kind));
+  Fn(TbixDim::Fingerprint, E.Fingerprint);
+  Fn(TbixDim::Machine, E.MachineId);
+  uint64_t MachKey = signatureHash(E.MachineName);
+  if (MachKey != E.MachineId)
+    Fn(TbixDim::Machine, MachKey);
+}
 
 /// Everything a checkpoint records beyond the entries themselves.
 struct PagedIndexHeaderInfo {
@@ -162,9 +183,9 @@ struct PageCacheInstruments {
   Gauge *Resident = nullptr; ///< store.bytes_resident contribution.
 };
 
-/// A validated, lazily-read checkpoint. Thread-safe: all page
-/// access is serialized through the cache mutex, so parallel query
-/// workers can share one reader.
+/// A validated, lazily-read checkpoint. Thread-safe: all page access is
+/// serialized through the cache mutex, so const queries of one store may
+/// run on several threads at once.
 class PagedIndexReader {
 public:
   ~PagedIndexReader();
@@ -188,10 +209,6 @@ public:
 
   /// Decodes the \p Idx-th entry (directory order = ascending id).
   bool entryByIndex(uint64_t Idx, SnapStoreEntry &Out) const;
-  /// The \p Idx-th entry's id without decoding the record.
-  uint64_t entryIdAt(uint64_t Idx) const {
-    return readU64(EntryDir.Off + Idx * 20);
-  }
   /// Binary-searches the directory for \p Id.
   bool entryById(uint64_t Id, SnapStoreEntry &Out) const;
 

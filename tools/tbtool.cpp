@@ -29,9 +29,12 @@
 //   tbtool serve --store DIR [--machines N] [--rounds N] [--seed S]
 //                [--chaos] [--shards N] [--max-bytes B] [--max-age T]
 //                [--compact] [--json]
-//   tbtool query <store-dir> [--module M] [--fault KIND] [--sig HEX]
-//                [--machine M] [--since T] [--until T] [--top N]
-//                [--list] [--count] [--scan] [--json]
+//   tbtool replay <snap.tbsnap> | --store DIR --id N [--log FILE]
+//                 [--verify] [--to N]
+//   tbtool query <store-dir>... [--store DIR]... [--module M] [--fault KIND]
+//                [--sig HEX] [--machine M] [--since T] [--until T]
+//                [--top N] [--list] [--count] [--scan] [--json]
+//                (--scan, the linear-scan oracle, takes one store)
 //   tbtool help [<command>]
 //
 // Every subcommand is a registration in a declarative CommandRegistry
@@ -1346,19 +1349,20 @@ int cmdReplay(ArgList A) {
     MetricsRegistry StoreMetrics;
     SnapStore Store;
     SnapStoreOptions SO;
+    SO.ReadOnly = true;
     SO.Metrics = &StoreMetrics;
     std::string Error;
     if (!Store.open(StoreDir, SO, Error)) {
       std::fprintf(stderr, "%s\n", Error.c_str());
       return 1;
     }
-    const SnapStoreEntry *E = Store.entry(static_cast<uint64_t>(Id));
-    if (!E || E->Dead) {
+    SnapStoreEntry E;
+    if (!Store.entry(static_cast<uint64_t>(Id), E) || E.Dead) {
       std::fprintf(stderr, "no live entry %lld in %s\n",
                    static_cast<long long>(Id), StoreDir.c_str());
       return 1;
     }
-    if (!Store.loadSnap(*E, Snap)) {
+    if (!Store.loadSnap(E, Snap)) {
       std::fprintf(stderr, "cannot load payload of entry %lld\n",
                    static_cast<long long>(Id));
       return 1;
@@ -1423,12 +1427,12 @@ FaultSignature entrySignature(const SnapStoreEntry &E) {
 
 /// `tbtool query`: composable-predicate queries over one or more snap
 /// stores, emitting the same ranked report triage produces (or
-/// --list/--count views). --scan forces the linear-scan oracle path
-/// instead of the index — results must be identical; the flag exists so
-/// operators can cross-check a store whose index they distrust. With
-/// repeated --store flags, matches stream through a k-way merge of
-/// per-store time cursors in global (timestamp, id, store) order — no
-/// store is ever materialized.
+/// --list/--count views). Stores open read-only. --scan forces the
+/// linear-scan oracle path instead of the index over one store — results
+/// must be identical; the flag exists so operators can cross-check a
+/// store whose index they distrust. With repeated --store flags, matches
+/// stream through a k-way merge of per-store time cursors in global
+/// (timestamp, id, store) order — no store is ever materialized.
 int cmdQuery(ArgList A) {
   std::string ModuleStr = A.value("--module");
   std::string Fault = A.value("--fault");
@@ -1438,7 +1442,6 @@ int cmdQuery(ArgList A) {
   int64_t Since = A.intValue("--since", 0);
   int64_t Until = A.intValue("--until", -1);
   int64_t Top = A.intValue("--top", 20);
-  int Jobs = A.jobs();
   bool List = A.flag("--list");
   bool CountOnly = A.flag("--count");
   bool UseScan = A.flag("--scan");
@@ -1449,8 +1452,11 @@ int cmdQuery(ArgList A) {
   // The positional store-dir spelling predates --store; both work.
   for (const std::string &P : A.positional())
     StoreDirs.push_back(P);
-  if (StoreDirs.empty() || Top < 0 || Since < 0 || Jobs < 0)
+  if (StoreDirs.empty() || Top < 0 || Since < 0)
     return usage();
+  if (UseScan && StoreDirs.size() > 1)
+    return flagError("--scan takes one store; several fan in through the "
+                     "time index");
 
   std::vector<std::unique_ptr<SnapStore>> Stores;
   for (const std::string &Dir : StoreDirs) {
@@ -1491,24 +1497,14 @@ int cmdQuery(ArgList A) {
   size_t ListCap = (List && !CountOnly) ? static_cast<size_t>(Top) : 0;
 
   // Streams every match as Fn(entry, store index); Fn returning false
-  // stops the stream. One store keeps the classic ascending-id cursor
-  // (and gains --jobs parallelism); several stores fan in through a
-  // k-way merge of time cursors in (timestamp, id, store) order.
+  // stops the stream. One store keeps the classic ascending-id cursor;
+  // several stores fan in through a k-way merge of time cursors in
+  // (timestamp, id, store) order.
   auto forEachMatch =
       [&](const std::function<bool(const SnapStoreEntry &, size_t)> &Fn) {
         if (Stores.size() == 1) {
           SnapStore &St = *Stores[0];
-          std::unique_ptr<ThreadPool> Pool;
-          auto makeCursor = [&]() -> SnapStore::Cursor {
-            if (UseScan)
-              return St.scan(Q);
-            if (Jobs != 1) {
-              Pool = std::make_unique<ThreadPool>(ThreadPool::resolveJobs(Jobs));
-              return St.query(Q, Pool.get());
-            }
-            return St.query(Q);
-          };
-          SnapStore::Cursor Cur = makeCursor();
+          SnapStore::Cursor Cur = UseScan ? St.scan(Q) : St.query(Q);
           while (const SnapStoreEntry *E = Cur.next())
             if (!Fn(*E, 0))
               return;
@@ -1744,8 +1740,7 @@ CommandRegistry &registry() {
               {"--list", "", "list matching entries instead of the report"},
               {"--count", "", "print only match counts"},
               {"--scan", "", "use the linear-scan oracle instead of the "
-               "index"},
-              {"--jobs", "N", "parallel query worker threads (one store)"},
+               "index (one store only)"},
               {"--json", "", "JSON output for --list (rows carry their "
                "source store)"}},
              cmdQuery});
